@@ -33,7 +33,7 @@ from .oracle import (OracleAnswer, ProbeQuery, brute_force_goal, chainrun_optimu
                      probe_grid_from_dataset)
 from .training import NetHyper, TrainResult, train_gas
 from .evaluate import (EvalConfig, EvalReport, evaluate, robustness_sweep,
-                       run_ablation, run_episode, sweep_gates, threshold_sweep)
+                       rollout_policy, run_ablation, run_episode, sweep_gates)
 from .config import RunConfig, build_config, config_hash, seed_streams
 
 __version__ = "0.1.0"

@@ -18,13 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds
-from .evaluate import (ABLATION_KINDS, SAFETY_TOLERANCE, EvalConfig, evaluate,
-                       reward_target_table, run_ablation, sweep_gates,
-                       threshold_sweep)
+from .evaluate import (ABLATION_KINDS, EvalConfig, evaluate, reward_target_table,
+                       run_ablation, sweep_gates)
 from .config import (RunConfig, build_config, canonical_config_text,
                      config_hash, seed_streams, sha256_file)
 from .envs import make_env, spec_by_name
-from .errors import ConfigError, GasError
+from .errors import ConfigError, GasError, SchemaError
 from .goals import load_goals, save_goals
 from .oracle import brute_force_goal, default_state_tolerance, probe_grid_from_dataset
 from .policy import load_policy, save_policy
@@ -131,6 +130,11 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# metadata that eval, sweep and oracle-check read from goals.ckpt
+_TRAIN_META_KEYS = ("env_name", "state_dim", "r_max", "c_max", "alpha", "delta",
+                    "q_percent", "epsilon")
+
+
 def _load_checkpoints(cfg: RunConfig, out: Path):
     goals_path = out / "goals.ckpt"
     policy_path = out / "policy.ckpt"
@@ -139,6 +143,9 @@ def _load_checkpoints(cfg: RunConfig, out: Path):
             raise ConfigError(f"missing checkpoint: {path}")
     nets, gmeta = load_goals(goals_path)
     pol, _ = load_policy(policy_path)
+    missing = set(_TRAIN_META_KEYS) - set(gmeta)
+    if missing:
+        raise SchemaError(f"{goals_path} metadata lacks {sorted(missing)}")
     env = make_env(spec_by_name(cfg.env_name, cfg.episode_length), cfg.seed)
     if env.spec.state_dim != gmeta["state_dim"] or env.spec.name != gmeta["env_name"]:
         raise GasError(
@@ -150,58 +157,37 @@ def _load_checkpoints(cfg: RunConfig, out: Path):
     return nets, pol, env, gmeta, ckpt_hash
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+# the gate that sets the exit code: eval checks the cost budgets only,
+# sweep also checks that reward does not fall as the budget grows
+_EVAL_GATES = {"eval": "cost_within_tolerance", "sweep": "passed"}
+
+
+def cmd_evaluate(cfg: RunConfig, command: str) -> int:
+    """`gas eval` and `gas sweep`: evaluate the checkpoints at the configured
+    thresholds and write <command>.csv / <command>.json."""
+    eval_cfg = EvalConfig(tuple(cfg.thresholds), cfg.target_reward_fraction)
     out = _out_dir(cfg)
     nets, pol, env, meta, ckpt_hash = _load_checkpoints(cfg, out)
-    eval_cfg = EvalConfig(tuple(cfg.thresholds), cfg.episodes_per_point,
-                             tuple(cfg.eval_seeds), cfg.target_reward_fraction)
     report = evaluate(pol, nets, env, eval_cfg, meta["r_max"], meta["c_max"],
                       metadata={"checkpoint_hash": ckpt_hash, "alpha": meta["alpha"],
                                 "delta": meta["delta"], "q_percent": meta["q_percent"],
                                 "epsilon": meta["epsilon"]},
-                      jobs=cfg.jobs, target_table=meta.get("reward_target_table"))
-    (out / "eval.csv").write_text(report.to_csv())
-    (out / "eval.json").write_text(report.to_json())
-    unsafe = [s for s in report.summary if s["cost_norm_mean"] > SAFETY_TOLERANCE]
+                      target_table=meta.get("reward_target_table"))
+    (out / f"{command}.csv").write_text(report.to_csv())
+    (out / f"{command}.json").write_text(report.to_json())
+    gates = sweep_gates(report)
     for s in report.summary:
         print(f"threshold={s['threshold_frac']:.2f} reward_norm={s['reward_norm_mean']:.3f} "
               f"cost_norm={s['cost_norm_mean']:.3f}")
-    if unsafe:
-        print(f"FAIL: {len(unsafe)} thresholds above cost tolerance {SAFETY_TOLERANCE}")
-        return EXIT_ACCEPTANCE
-    return EXIT_OK
-
-
-def cmd_sweep(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    nets, pol, env, meta, ckpt_hash = _load_checkpoints(cfg, out)
-    report = threshold_sweep(pol, nets, env, cfg.thresholds, meta["r_max"],
-                                meta["c_max"],
-                                metadata={"checkpoint_hash": ckpt_hash,
-                                          "alpha": meta["alpha"], "delta": meta["delta"],
-                                          "q_percent": meta["q_percent"],
-                                          "epsilon": meta["epsilon"]},
-                                episodes_per_point=cfg.episodes_per_point,
-                                seeds=cfg.eval_seeds,
-                                target_reward_fraction=cfg.target_reward_fraction,
-                                jobs=cfg.jobs,
-                                target_table=meta.get("reward_target_table"))
-    (out / "sweep.csv").write_text(report.to_csv())
-    (out / "sweep.json").write_text(report.to_json())
-    gates = sweep_gates(report)
-    for s in sorted(report.summary, key=lambda s: s["threshold_frac"]):
-        print(f"threshold={s['threshold_frac']:.2f} reward_norm={s['reward_norm_mean']:.3f} "
-              f"cost_norm={s['cost_norm_mean']:.3f}")
     print(f"gates: {json.dumps(gates, sort_keys=True)}")
-    return EXIT_OK if gates["passed"] else EXIT_ACCEPTANCE
+    return EXIT_OK if gates[_EVAL_GATES[command]] else EXIT_ACCEPTANCE
 
 
 def cmd_ablate(cfg: RunConfig, kind: str) -> int:
+    eval_cfg = EvalConfig(tuple(cfg.thresholds), cfg.target_reward_fraction)
     out = _out_dir(cfg)
     data, _ = _load_or_generate_dataset(cfg, out)
     env = make_env(data.env_meta, cfg.seed)
-    eval_cfg = EvalConfig(tuple(cfg.thresholds), cfg.episodes_per_point,
-                             tuple(cfg.eval_seeds), cfg.target_reward_fraction)
     results = run_ablation(kind, data, _aug_config(cfg), _net_hyper(cfg),
                               cfg.alpha, cfg.iterations, cfg.seed, env, eval_cfg,
                               cfg.schedule)
@@ -274,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel evaluation workers (default 1, bit-reproducible)")
         p.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                        help="config overrides, highest precedence")
         if name == "ablate":
@@ -287,17 +271,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args.config, args.overrides)
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
         command = args.command
         if command == "gen-dataset":
             return cmd_gen_dataset(cfg)
         if command == "train":
             return cmd_train(cfg)
-        if command == "eval":
-            return cmd_eval(cfg)
-        if command == "sweep":
-            return cmd_sweep(cfg)
+        if command in _EVAL_GATES:
+            return cmd_evaluate(cfg, command)
         if command == "ablate":
             return cmd_ablate(cfg, args.kind)
         if command == "oracle-check":

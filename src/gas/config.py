@@ -55,13 +55,10 @@ class RunConfig:
     schedule: str = "interleaved"
     # evaluation
     thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    episodes_per_point: int = 10
-    eval_seeds: tuple = (0, 1, 2, 3, 4)
     target_reward_fraction: float = 1.05
     # run plumbing
     seed: int = 0
     out_dir: str = "runs"
-    jobs: int = 1
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -129,7 +126,7 @@ def build_config(config_path=None, overrides=()) -> RunConfig:
 
 # run placement, not experiment identity: excluded from hashing so the same
 # experiment reproduces byte-identically in any directory
-_PLACEMENT_KEYS = ("out_dir", "jobs")
+_PLACEMENT_KEYS = ("out_dir",)
 
 
 def canonical_config_text(cfg: RunConfig) -> str:

@@ -16,6 +16,7 @@ f64 arrays per trajectory in (states, actions, rewards, costs) order.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .envs import CHAIN_RUN, GRID_CIRCLE, EnvSpec, Trajectory, rollout
-from .errors import ConfigError, ContractError, SchemaError
+from .errors import ConfigError, ContractError, SchemaError, parsing
 
 DATASET_MAGIC = b"GASDSET1"
 DATASET_VERSION = 1
@@ -454,7 +455,10 @@ def save_dataset(dataset: OfflineDataset, path) -> None:
 
 
 def load_dataset(path) -> OfflineDataset:
-    with open(path, "rb") as fh:
+    """Read a dataset file; a truncated or corrupt file raises SchemaError."""
+    with open(path, "rb") as raw:
+        fh = io.BytesIO(raw.read())
+    with parsing(f"dataset {path}"):
         magic = fh.read(8)
         if magic != DATASET_MAGIC:
             raise SchemaError(f"bad dataset magic {magic!r}, expected {DATASET_MAGIC!r}")
@@ -481,7 +485,7 @@ def load_dataset(path) -> OfflineDataset:
                     raise SchemaError("truncated trajectory data")
                 chunks.append(np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape))
             trajectories.append(Trajectory.from_arrays(*chunks))
-    ds = OfflineDataset.from_trajectories(spec, trajectories)
+        ds = OfflineDataset.from_trajectories(spec, trajectories)
     if not (np.isclose(ds.r_max, r_max) and np.isclose(ds.c_max, c_max)):
         raise SchemaError(
             f"header maxima ({r_max}, {c_max}) disagree with data ({ds.r_max}, {ds.c_max})")

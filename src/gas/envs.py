@@ -140,6 +140,14 @@ class ChainRunEnv:
         next_state = np.array([x, (t + 1) / T])
         return next_state, float(reward), cost, t + 1 == T
 
+    def step_batch(self, states, actions, t: int):
+        """``step`` on every row of (B, d) states at time t, bit for bit."""
+        T = self.spec.episode_length
+        a = _clamped_actions(self, actions, t)
+        v = (a[:, 0] + 1.0) / 2.0
+        next_states = np.column_stack([states[:, 0] + v, np.full(len(v), (t + 1) / T)])
+        return next_states, v, (v > 0.5).astype(np.float64), t + 1 == T
+
 
 class GridCircleEnv:
     """2-D circler; state is (x, y, normalized time tau).
@@ -172,6 +180,30 @@ class GridCircleEnv:
         cost = 1.0 if (radius > 1.5 or radius < 0.5) else 0.0
         next_state = np.array([nx, ny, (t + 1) / T])
         return next_state, float(reward), cost, t + 1 == T
+
+    def step_batch(self, states, actions, t: int):
+        """``step`` on every row of (B, d) states at time t, bit for bit."""
+        T = self.spec.episode_length
+        a = _clamped_actions(self, actions, t)
+        x, y = states[:, 0], states[:, 1]
+        nx, ny = x + 0.1 * a[:, 0], y + 0.1 * a[:, 1]
+        rewards = (x * a[:, 1] - y * a[:, 0]) / np.maximum(np.hypot(x, y), 0.5)
+        radius = np.hypot(nx, ny)
+        costs = ((radius > 1.5) | (radius < 0.5)).astype(np.float64)
+        next_states = np.column_stack([nx, ny, np.full(len(x), (t + 1) / T)])
+        return next_states, rewards, costs, t + 1 == T
+
+
+def _clamped_actions(env, actions, t: int) -> np.ndarray:
+    """(B, action_dim) actions clipped to [-1, 1], one warning per clipped row."""
+    if t >= env.spec.episode_length:
+        raise ContractError(f"step at t={t} past horizon T={env.spec.episode_length}")
+    a = np.asarray(actions, dtype=np.float64).reshape(-1, env.spec.action_dim)
+    out_of_range = np.any(np.abs(a) > 1.0, axis=1)
+    if out_of_range.any():
+        env.clamp_warnings += int(out_of_range.sum())
+        a = np.clip(a, -1.0, 1.0)
+    return a
 
 
 _ENV_CLASSES = {CHAIN_RUN: ChainRunEnv, GRID_CIRCLE: GridCircleEnv}

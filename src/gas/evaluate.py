@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import AugmentConfig, OfflineDataset
-from .envs import rollout
 from .errors import ConfigError, ContractError
 from .goals import GoalNets
 from .policy import PolicyNet, TargetTracker, act, update_tracker
@@ -26,22 +25,21 @@ from .policy import PolicyNet, TargetTracker, act, update_tracker
 SAFETY_TOLERANCE = 1.1
 MONOTONE_TOLERANCE = 0.02
 
-EVAL_COLUMNS = ("threshold_frac", "threshold_cost", "seed", "episode",
+EVAL_COLUMNS = ("threshold_frac", "threshold_cost",
                 "reward_return", "cost_return", "reward_norm", "cost_norm")
+_METRIC_COLUMNS = EVAL_COLUMNS[2:]
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    episodes_per_point: int = 10
-    seeds: tuple = (0, 1, 2, 3, 4)
     target_reward_fraction: float = 1.05
 
     def __post_init__(self):
+        if not self.thresholds:
+            raise ConfigError("thresholds must name at least one fraction")
         if not all(0.0 < f <= 1.0 for f in self.thresholds):
             raise ConfigError("thresholds must be fractions in (0, 1]")
-        if self.episodes_per_point < 1:
-            raise ConfigError("episodes_per_point must be >= 1")
 
 
 def reward_target_table(dataset, thresholds=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6,
@@ -83,8 +81,8 @@ def resolve_reward_target(frac: float, r_max: float, fraction: float,
 
 @dataclass
 class EvalReport:
-    rows: list                     # dict per (threshold, seed, episode)
-    summary: list                  # dict per threshold with mean +/- std
+    rows: list                     # dict per threshold
+    summary: list                  # dict per threshold, metric columns as "<col>_mean"
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -98,116 +96,80 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def run_episode(env, pol: PolicyNet, nets: GoalNets, r_target: float,
-                c_target: float, trace: "list | None" = None) -> tuple[float, float]:
-    """One deterministic rollout with target bookkeeping; returns (R, C)."""
+def rollout_policy(env, pol: PolicyNet, nets: GoalNets, r_targets, c_targets,
+                   trace: "list | None" = None) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic rollouts from the start state, one per (reward target,
+    cost budget) pair, stepped together: each step is one batched ``act``
+    and one ``step_batch``. Returns the (B,) reward and cost returns.
+
+    ``trace`` receives one dict per (step, row) with the remaining targets
+    and the goal values the action was chosen from.
+    """
     T = env.spec.episode_length
-    tracker = TargetTracker(r_target, c_target)
-    state = env.reset()
-    total_r = total_c = 0.0
+    tracker = TargetTracker(np.asarray(r_targets, dtype=np.float64),
+                            np.asarray(c_targets, dtype=np.float64))
+    states = np.tile(env.reset(), (tracker.r_remaining.shape[0], 1))
+    total_r, total_c = np.zeros(len(states)), np.zeros(len(states))
     for t in range(T):
-        action = act(pol, nets, state, tracker, T)
-        next_state, r, c, _ = env.step(state, action, t)
+        actions = act(pol, nets, states, tracker, T)
+        next_states, r, c, _ = env.step_batch(states, actions, t)
         if trace is not None:
-            v_r, v_c = nets.values(state[None, :], np.array([tracker.r_remaining]),
-                                   np.array([tracker.c_remaining]),
-                                   np.array([float(t)]))
-            trace.append({"t": t, "state": state.tolist(), "action": action.tolist(),
-                          "reward": r, "cost": c,
-                          "r_remaining": tracker.r_remaining,
-                          "c_remaining": tracker.c_remaining,
-                          "v_r": float(v_r[0]), "v_c": float(v_c[0])})
+            v_r, v_c = nets.values(states, tracker.r_remaining, tracker.c_remaining,
+                                   np.full(len(states), float(t)))
+            for i in range(len(states)):
+                trace.append({"t": t, "row": i, "state": states[i].tolist(),
+                              "action": actions[i].tolist(),
+                              "reward": float(r[i]), "cost": float(c[i]),
+                              "r_remaining": float(tracker.r_remaining[i]),
+                              "c_remaining": float(tracker.c_remaining[i]),
+                              "v_r": float(v_r[i]), "v_c": float(v_c[i])})
         tracker = update_tracker(tracker, r, c)
         total_r += r
         total_c += c
-        state = next_state
+        states = next_states
     return total_r, total_c
 
 
-def _point_rows(env, pol, nets, frac, r_target, c_target, r_max, seeds, episodes):
-    rows = []
-    for seed in seeds:
-        for episode in range(episodes):
-            reward, cost = run_episode(env, pol, nets, r_target, c_target)
-            rows.append({
-                "threshold_frac": float(frac),
-                "threshold_cost": float(c_target),
-                "seed": int(seed),
-                "episode": int(episode),
-                "reward_return": reward,
-                "cost_return": cost,
-                "reward_norm": reward / r_max,
-                "cost_norm": cost / c_target if c_target > 0 else float(cost > 0) * np.inf,
-            })
-    return rows
-
-
-def _summarize(rows, key_fields=("threshold_frac",)):
-    summary = []
-    keys = sorted({tuple(row[k] for k in key_fields) for row in rows})
-    for key in keys:
-        group = [r for r in rows if tuple(r[k] for k in key_fields) == key]
-        entry = dict(zip(key_fields, key))
-        for col in ("reward_return", "cost_return", "reward_norm", "cost_norm"):
-            values = np.array([g[col] for g in group])
-            entry[f"{col}_mean"] = float(values.mean())
-            entry[f"{col}_std"] = float(values.std(ddof=1)) if values.size > 1 else 0.0
-        entry["n"] = len(group)
-        summary.append(entry)
-    return summary
+def run_episode(env, pol: PolicyNet, nets: GoalNets, r_target: float,
+                c_target: float, trace: "list | None" = None) -> tuple[float, float]:
+    """One deterministic rollout with target bookkeeping; returns (R, C)."""
+    rewards, costs = rollout_policy(env, pol, nets, [r_target], [c_target], trace)
+    return float(rewards[0]), float(costs[0])
 
 
 def evaluate(pol: PolicyNet, nets: GoalNets, env, cfg: EvalConfig, r_max: float,
-             c_max: float, metadata: "dict | None" = None, jobs: int = 1,
+             c_max: float, metadata: "dict | None" = None,
              target_table: "dict | None" = None) -> EvalReport:
-    """Roll out every (threshold, seed, episode) point and aggregate.
+    """One rollout per distinct threshold, all run as one batch.
 
+    Env and policy are deterministic, so a point's rollout is its result:
+    rows and summary hold one entry per threshold, in ascending order.
     Reward targets come from ``target_table`` (per-threshold plausible
     targets, the deployment convention) scaled by ``target_reward_fraction``;
-    without a table they fall back to a flat fraction of r_max. Aggregation
-    pools the sample std over all (seed, episode) pairs per threshold; the
-    pooling choice is recorded in the report metadata.
+    without a table they fall back to a flat fraction of r_max.
     """
     if env.spec.state_dim != pol.norm.state_mean.shape[0]:
         raise ContractError(
             f"env state_dim {env.spec.state_dim} != checkpoint "
             f"state_dim {pol.norm.state_mean.shape[0]}")
-    points = [(frac,
-               resolve_reward_target(frac, r_max, cfg.target_reward_fraction,
-                                     target_table),
-               frac * c_max)
-              for frac in cfg.thresholds]
-    work = [(env, pol, nets, frac, rt, ct, r_max, cfg.seeds, cfg.episodes_per_point)
-            for frac, rt, ct in points]
-    if jobs > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(jobs) as pool:
-            chunks = pool.starmap(_point_rows, work)
-    else:
-        chunks = [_point_rows(*args) for args in work]
-    rows = [row for chunk in chunks for row in chunk]
+    fracs = sorted({float(f) for f in cfg.thresholds})
+    r_targets = [resolve_reward_target(frac, r_max, cfg.target_reward_fraction, target_table)
+                 for frac in fracs]
+    c_targets = [frac * c_max for frac in fracs]
+    rewards, costs = rollout_policy(env, pol, nets, r_targets, c_targets)
+    rows = [{"threshold_frac": frac, "threshold_cost": float(c_target),
+             "reward_return": float(reward), "cost_return": float(cost),
+             "reward_norm": float(reward / r_max),
+             "cost_norm": float(cost / c_target if c_target > 0 else (cost > 0) * np.inf)}
+            for frac, c_target, reward, cost in zip(fracs, c_targets, rewards, costs)]
+    summary = [{"threshold_frac": row["threshold_frac"],
+                **{f"{col}_mean": row[col] for col in _METRIC_COLUMNS}} for row in rows]
     meta = {"r_max": r_max, "c_max": c_max,
             "target_reward_fraction": cfg.target_reward_fraction,
-            "reward_targets": {repr(p[0]): p[1] for p in points},
-            "episodes_per_point": cfg.episodes_per_point,
-            "seeds": list(cfg.seeds),
-            "pooling": "sample std over all (seed, episode) pairs per threshold"}
+            "reward_targets": {repr(frac): rt for frac, rt in zip(fracs, r_targets)}}
     if metadata:
         meta.update(metadata)
-    return EvalReport(rows, _summarize(rows), meta)
-
-
-def threshold_sweep(pol: PolicyNet, nets: GoalNets, env, thresholds, r_max: float,
-                    c_max: float, metadata: "dict | None" = None,
-                    episodes_per_point: int = 10, seeds=(0, 1, 2, 3, 4),
-                    target_reward_fraction: float = 0.95, jobs: int = 1,
-                    target_table: "dict | None" = None) -> EvalReport:
-    """Zero-shot sweep of one checkpoint across cost thresholds."""
-    cfg = EvalConfig(tuple(thresholds), episodes_per_point, tuple(seeds),
-                     target_reward_fraction)
-    return evaluate(pol, nets, env, cfg, r_max, c_max, metadata, jobs,
-                    target_table=target_table)
+    return EvalReport(rows, summary, meta)
 
 
 def sweep_gates(report: EvalReport) -> dict:
@@ -230,21 +192,24 @@ def robustness_sweep(pol: PolicyNet, nets: GoalNets, env, threshold_frac: float,
                      alternates: "dict | None" = None) -> list:
     """Fixed cost budget, varying reward targets, optional comparison models.
 
-    Returns one row per (model, reward target). ``alternates`` maps a label
-    to another (policy, goal nets) pair, e.g. a no-relabel checkpoint.
+    Returns one row per (model, reward target); each model's targets run
+    as one batched rollout. ``alternates`` maps a label to another
+    (policy, goal nets) pair, e.g. a no-relabel checkpoint.
     """
     models = {"default": (pol, nets)}
     if alternates:
         models.update(alternates)
     c_target = threshold_frac * c_max
+    targets = [float(target) for target in reward_targets]
     rows = []
     for label in sorted(models):
         m_pol, m_nets = models[label]
-        for target in reward_targets:
-            reward, cost = run_episode(env, m_pol, m_nets, float(target), c_target)
+        rewards, costs = rollout_policy(env, m_pol, m_nets, targets,
+                                        [c_target] * len(targets))
+        for target, reward, cost in zip(targets, rewards.tolist(), costs.tolist()):
             rows.append({
                 "model": label,
-                "reward_target": float(target),
+                "reward_target": target,
                 "threshold_cost": float(c_target),
                 "reward_return": reward,
                 "cost_return": cost,
@@ -298,15 +263,3 @@ def run_ablation(kind: str, dataset: OfflineDataset, cfg: AugmentConfig, hyper,
                           target_table=table)
         out[name] = {"result": result, "report": report}
     return out
-
-
-def write_text(path, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def rows_to_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ reward net only through its own output and likewise for the cost net.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AugmentConfig, OfflineDataset, ReshapeIndex, TransitionBatch, sample_batch
-from .errors import ContractError, NonFiniteError, SchemaError
+from .errors import ContractError, NonFiniteError, SchemaError, parsing
 from .nn import Mlp, OptimHyper, OptimState, expectile_weight, read_net_bytes, write_net_bytes
 
 BUNDLE_MAGIC = b"GASPACK1"
@@ -223,8 +224,10 @@ def write_bundle(path, tagged_nets: dict, norm: InputNorm, meta: dict) -> None:
 
 
 def read_bundle(path) -> tuple[dict, InputNorm, dict]:
-    """Returns ({tag: Mlp}, norm, metadata)."""
-    with open(path, "rb") as fh:
+    """Returns ({tag: Mlp}, norm, metadata); a corrupt file raises SchemaError."""
+    with open(path, "rb") as raw:
+        fh = io.BytesIO(raw.read())
+    with parsing(f"checkpoint bundle {path}"):
         magic = fh.read(8)
         if magic != BUNDLE_MAGIC:
             raise SchemaError(f"bad bundle magic {magic!r}, expected {BUNDLE_MAGIC!r}")
@@ -239,7 +242,7 @@ def read_bundle(path) -> tuple[dict, InputNorm, dict]:
             tag = fh.read(tag_len).decode("utf-8")
             (blob_len,) = struct.unpack("<I", fh.read(4))
             nets[tag] = read_net_bytes(fh.read(blob_len))
-    norm = InputNorm.from_dict(meta.pop("norm"))
+        norm = InputNorm.from_dict(meta.pop("norm"))
     return nets, norm, meta
 
 

@@ -9,13 +9,15 @@ format (magic ``GASNET1\\0``).
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NonFiniteError, SchemaError
+from .errors import ContractError, NonFiniteError, SchemaError, parsing
 
 NET_MAGIC = b"GASNET1\x00"
 NET_VERSION = 1
@@ -267,7 +269,7 @@ def _write_array(fh, arr: np.ndarray) -> None:
 
 
 def _read_array(fh, shape) -> np.ndarray:
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     buf = fh.read(count * 8)
     if len(buf) != count * 8:
         raise SchemaError("truncated parameter blob")
@@ -298,38 +300,39 @@ def save_net(path, net: Mlp, optim: "OptimState | None" = None) -> None:
 def load_net(path):
     """Read a net back; returns (net, optim_or_None). Lossless round trip."""
     with open(path, "rb") as fh:
-        return read_net(fh)
+        data = fh.read()
+    return read_net(io.BytesIO(data))
 
 
 def read_net(fh):
-    magic = fh.read(8)
-    if magic != NET_MAGIC:
-        raise SchemaError(f"bad checkpoint magic {magic!r}, expected {NET_MAGIC!r}")
-    version, n_sizes = struct.unpack("<II", fh.read(8))
-    if version != NET_VERSION:
-        raise SchemaError(f"unsupported checkpoint version {version}, expected {NET_VERSION}")
-    sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
-    weights, biases = [], []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(_read_array(fh, (n_in, n_out)))
-        biases.append(_read_array(fh, (n_out,)))
-    net = Mlp(sizes, weights, biases)
-    (has_optim,) = struct.unpack("<I", fh.read(4))
-    optim = None
-    if has_optim:
-        (step_count,) = struct.unpack("<Q", fh.read(8))
-        vals = struct.unpack("<6d", fh.read(48))
-        optim = OptimState(net, OptimHyper(*vals))
-        optim.step_count = step_count
-        for group in (optim.m_weights, optim.m_biases, optim.v_weights, optim.v_biases):
-            for i, arr in enumerate(group):
-                group[i] = _read_array(fh, arr.shape)
-    return net, optim
+    """Parse one net from a binary stream; a corrupt stream raises SchemaError."""
+    with parsing("net checkpoint"):
+        magic = fh.read(8)
+        if magic != NET_MAGIC:
+            raise SchemaError(f"bad checkpoint magic {magic!r}, expected {NET_MAGIC!r}")
+        version, n_sizes = struct.unpack("<II", fh.read(8))
+        if version != NET_VERSION:
+            raise SchemaError(f"unsupported checkpoint version {version}, expected {NET_VERSION}")
+        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
+        weights, biases = [], []
+        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+            weights.append(_read_array(fh, (n_in, n_out)))
+            biases.append(_read_array(fh, (n_out,)))
+        net = Mlp(sizes, weights, biases)
+        (has_optim,) = struct.unpack("<I", fh.read(4))
+        optim = None
+        if has_optim:
+            (step_count,) = struct.unpack("<Q", fh.read(8))
+            vals = struct.unpack("<6d", fh.read(48))
+            optim = OptimState(net, OptimHyper(*vals))
+            optim.step_count = step_count
+            for group in (optim.m_weights, optim.m_biases, optim.v_weights, optim.v_biases):
+                for i, arr in enumerate(group):
+                    group[i] = _read_array(fh, arr.shape)
+        return net, optim
 
 
 def write_net_bytes(net: Mlp) -> bytes:
-    import io
-
     buf = io.BytesIO()
     buf.write(NET_MAGIC)
     buf.write(struct.pack("<II", NET_VERSION, len(net.layer_sizes)))
@@ -342,7 +345,5 @@ def write_net_bytes(net: Mlp) -> bytes:
 
 
 def read_net_bytes(data: bytes) -> Mlp:
-    import io
-
     net, _ = read_net(io.BytesIO(data))
     return net

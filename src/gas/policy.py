@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AugmentConfig, OfflineDataset, ReshapeIndex, TransitionBatch, sample_batch
-from .errors import ContractError, NonFiniteError, SchemaError
+from .errors import ContractError, NonFiniteError, SchemaError, parsing
 from .goals import GoalNets, InputNorm, goal_inputs, read_bundle, write_bundle, _diagnose
 from .nn import Mlp, OptimState, expectile_weight
 
@@ -97,32 +97,39 @@ def policy_loss(batch: TransitionBatch, nets: GoalNets, pol: PolicyNet, alpha: f
 
 @dataclass(frozen=True)
 class TargetTracker:
-    """Remaining (reward, cost) targets during an episode."""
+    """Remaining (reward, cost) targets during an episode: floats for one
+    rollout, (B,) arrays for B rollouts stepped together."""
 
-    r_remaining: float
-    c_remaining: float
+    r_remaining: "float | np.ndarray"
+    c_remaining: "float | np.ndarray"
     t: int = 0
 
 
-def update_tracker(tracker: TargetTracker, reward: float, cost: float) -> TargetTracker:
+def update_tracker(tracker: TargetTracker, reward, cost) -> TargetTracker:
     """Subtract the observed step and clamp both remainders at zero."""
     return TargetTracker(
-        r_remaining=max(tracker.r_remaining - reward, 0.0),
-        c_remaining=max(tracker.c_remaining - cost, 0.0),
+        r_remaining=np.maximum(tracker.r_remaining - reward, 0.0),
+        c_remaining=np.maximum(tracker.c_remaining - cost, 0.0),
         t=tracker.t + 1,
     )
 
 
 def act(pol: PolicyNet, nets: GoalNets, state, tracker: TargetTracker, T: int) -> np.ndarray:
-    """Deterministic action from the current state and remaining targets."""
+    """Deterministic action from the current state and remaining targets.
+
+    A (d,) state gives an (action_dim,) action; (B, d) states with a tracker
+    of (B,) remainders give (B, action_dim) actions from one goal-net and one
+    policy forward.
+    """
     if tracker.t >= T:
         raise ContractError(f"act called at t={tracker.t} >= T={T}")
-    state = np.asarray(state, dtype=np.float64)
-    r = np.array([tracker.r_remaining])
-    c = np.array([tracker.c_remaining])
-    tp = np.array([tracker.t], dtype=np.float64)
-    v_r, v_c = nets.values(state[None, :], r, c, tp)
-    return pol.forward(state[None, :], r, c, v_r, v_c, tp)[0]
+    states = np.atleast_2d(np.asarray(state, dtype=np.float64))
+    r = np.atleast_1d(np.asarray(tracker.r_remaining, dtype=np.float64))
+    c = np.atleast_1d(np.asarray(tracker.c_remaining, dtype=np.float64))
+    tp = np.full(len(states), float(tracker.t))
+    v_r, v_c = nets.values(states, r, c, tp)
+    actions = pol.forward(states, r, c, v_r, v_c, tp)
+    return actions[0] if np.ndim(state) == 1 else actions
 
 
 def train_policy(dataset: OfflineDataset, reshape: "ReshapeIndex | None",
@@ -153,4 +160,6 @@ def load_policy(path) -> tuple[PolicyNet, dict]:
     tagged, norm, meta = read_bundle(path)
     if set(tagged) != {"policy"}:
         raise SchemaError(f"policy bundle must contain exactly one policy net, got {sorted(tagged)}")
-    return PolicyNet(tagged["policy"], norm, int(meta["action_dim"])), meta
+    with parsing(f"policy bundle {path}"):
+        action_dim = int(meta["action_dim"])
+    return PolicyNet(tagged["policy"], norm, action_dim), meta

@@ -26,6 +26,9 @@ from gas.oracle import (ProbeQuery, brute_force_goal, chainrun_optimum,
 from gas.policy import policy_inputs, policy_loss
 from gas.training import NetHyper, train_gas
 
+# the slow gate; `pytest -m "not acceptance"` is the fast loop
+pytestmark = pytest.mark.acceptance
+
 T = 32
 N_TRAJ = 200
 DATA_SEED = 0
@@ -274,7 +277,7 @@ def test_criterion_5_end_to_end_stitching(corpus, trained, trained_alpha_half,
 def test_criterion_6_zero_shot_adaptation(corpus, trained, target_table):
     env, data = corpus
     result, _ = trained
-    cfg = EvalConfig(tuple(x / 10 for x in range(1, 10)), 1, (0,), TARGET_FRACTION)
+    cfg = EvalConfig(tuple(x / 10 for x in range(1, 10)), TARGET_FRACTION)
     report = evaluate(result.pol, result.nets, env, cfg, data.r_max, data.c_max,
                       target_table=target_table)
     gates = sweep_gates(report)
@@ -386,8 +389,7 @@ def test_criterion_10_determinism(tmp_path):
     overrides = ["env_name=ChainRun", "episode_length=16", "n_traj=40",
                  "iterations=300", "n_layers=3", "hidden=24", "embedding=24",
                  "batch_size=64", "learning_rate=0.001",
-                 "thresholds=0.2,0.5,0.8", "episodes_per_point=2",
-                 "eval_seeds=0,1", "seed=11"]
+                 "thresholds=0.2,0.5,0.8", "seed=11"]
     outputs = {}
     for run in ("a", "b"):
         out = tmp_path / run

@@ -13,16 +13,12 @@ from gas.errors import ConfigError
 FAST = [
     "env_name=ChainRun", "episode_length=8", "n_traj=24", "iterations=50",
     "n_layers=3", "hidden=16", "embedding=16", "batch_size=32",
-    "learning_rate=0.001", "thresholds=0.2,0.5,0.8", "episodes_per_point=1",
-    "eval_seeds=0", "seed=3",
+    "learning_rate=0.001", "thresholds=0.2,0.5,0.8", "seed=3",
 ]
 
 
-def run(out_dir, command, *overrides, jobs=None):
-    args = [command, *(FAST + [f"out_dir={out_dir}"] + list(overrides))]
-    if jobs:
-        args += ["--jobs", str(jobs)]
-    return main(args)
+def run(out_dir, command, *overrides):
+    return main([command, *(FAST + [f"out_dir={out_dir}"] + list(overrides))])
 
 
 # -- config layer ---------------------------------------------------------------
@@ -145,7 +141,7 @@ def test_sweep_writes_reports_with_one_row_per_threshold(tmp_path):
     code = run(tmp_path, "sweep")
     assert code in (0, 3)  # tiny run may fail the safety gate; files still written
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
-    assert len(lines) - 1 == 3  # 3 thresholds x 1 seed x 1 episode
+    assert len(lines) - 1 == 3  # one deterministic rollout per threshold
     payload = json.loads((tmp_path / "sweep.json").read_text())
     assert {"rows", "summary", "metadata"} <= set(payload)
     assert "checkpoint_hash" in payload["metadata"]
@@ -177,9 +173,28 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert (target / "dataset.gasdset").exists()
 
 
-def test_eval_jobs_flag_matches_serial(tmp_path):
+@pytest.mark.parametrize("command", ["sweep", "eval", "ablate"])
+def test_empty_thresholds_exit_config_error(tmp_path, capsys, command):
+    kind = ["--kind=no_tsra"] if command == "ablate" else []
+    assert run(tmp_path, command, "thresholds=", *kind) == 1
+    assert "thresholds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["goals.ckpt", "policy.ckpt", "dataset.gasdset"])
+def test_truncated_input_exits_runtime_error(tmp_path, capsys, name):
     assert run(tmp_path, "train") == 0
-    assert run(tmp_path, "eval") in (0, 3)
-    serial = (tmp_path / "eval.csv").read_bytes()
-    assert run(tmp_path, "eval", jobs=2) in (0, 3)
-    assert (tmp_path / "eval.csv").read_bytes() == serial
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes()[:30])
+    overrides = [f"dataset_path={path}"] if name == "dataset.gasdset" else []
+    command = "gen-dataset" if overrides else "sweep"
+    assert run(tmp_path, command, *overrides) == 2
+    err = capsys.readouterr().err
+    assert "corrupt" in err and "Traceback" not in err
+
+
+def test_checkpoint_without_training_metadata_exits_runtime_error(tmp_path, capsys):
+    assert run(tmp_path, "train") == 0
+    nets, _ = gas.load_goals(tmp_path / "goals.ckpt")
+    gas.save_goals(tmp_path / "goals.ckpt", nets, {"note": "no training metadata"})
+    assert run(tmp_path, "sweep") == 2
+    assert "metadata lacks" in capsys.readouterr().err

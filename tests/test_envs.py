@@ -128,3 +128,28 @@ def test_chainrun_analytic_optimum_exhaustive():
         for budget in (0, 1, 2.5, 3, T - 1, T):
             assert gas.chainrun_optimum(T, budget) == \
                 gas.chainrun_optimum_exhaustive(T, budget)
+
+
+@pytest.mark.parametrize("spec", [gas.chainrun_spec(8), gas.gridcircle_spec(8)],
+                         ids=["ChainRun", "GridCircle"])
+def test_step_batch_rows_equal_step(spec):
+    """Row i of step_batch equals step on row i bit for bit, out-of-range
+    actions included, and both count one clamp warning per clamped row."""
+    rng = np.random.default_rng(21)
+    B = 64
+    states = rng.uniform(-2.0, 2.0, size=(B, spec.state_dim))
+    actions = rng.uniform(-1.5, 1.5, size=(B, spec.action_dim))
+    actions[:4] = [[1.0] * spec.action_dim, [-1.0] * spec.action_dim,
+                   [0.0] * spec.action_dim, [4.0] * spec.action_dim]
+    states[:2, :2] = 0.0  # the GridCircle origin, where max(|p|, 0.5) binds
+    single, batched = gas.make_env(spec), gas.make_env(spec)
+    for t in (0, spec.episode_length - 1):
+        ns, r, c, done = batched.step_batch(states, actions, t)
+        for i in range(B):
+            ns_i, r_i, c_i, done_i = single.step(states[i], actions[i], t)
+            assert ns[i].tobytes() == ns_i.tobytes()
+            assert r[i].tobytes() == np.float64(r_i).tobytes()
+            assert c[i] == c_i and done == done_i
+    assert batched.clamp_warnings == single.clamp_warnings > 0
+    with pytest.raises(ContractError):
+        batched.step_batch(states, actions, spec.episode_length)

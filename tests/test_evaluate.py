@@ -5,7 +5,7 @@ import gas
 from gas.dataset import AugmentConfig
 from gas.evaluate import (ABLATION_KINDS, ALPHA_SWEEP_VALUES, EvalConfig,
                           ablation_variants, evaluate, robustness_sweep,
-                          run_episode, sweep_gates, threshold_sweep)
+                          run_episode, sweep_gates)
 from gas.errors import ConfigError, ContractError
 from gas.goals import GoalNets, InputNorm
 from gas.policy import PolicyNet
@@ -25,13 +25,13 @@ def models(stitch_dataset):
 def test_eval_config_validation():
     with pytest.raises(ConfigError):
         EvalConfig(thresholds=(0.0,))
-    with pytest.raises(ConfigError):
-        EvalConfig(episodes_per_point=0)
+    with pytest.raises(ConfigError, match="at least one"):
+        EvalConfig(thresholds=())
 
 
 def test_normalization_identities(chain_env, stitch_dataset, models):
     nets, pol = models
-    cfg = EvalConfig(thresholds=(0.25, 0.75), episodes_per_point=2, seeds=(0, 1))
+    cfg = EvalConfig(thresholds=(0.25, 0.75))
     report = evaluate(pol, nets, chain_env, cfg, stitch_dataset.r_max,
                       stitch_dataset.c_max)
     for row in report.rows:
@@ -40,27 +40,53 @@ def test_normalization_identities(chain_env, stitch_dataset, models):
         assert row["threshold_cost"] == row["threshold_frac"] * stitch_dataset.c_max
 
 
-def test_deterministic_episodes_zero_std(chain_env, stitch_dataset, models):
+def _assert_rows_match_run_episode(env, pol, nets, report):
+    """Each batched row equals the single rollout of its point: costs exactly,
+    rewards up to the reassociation of a B-row matmul."""
+    for row in report.rows:
+        r_target = report.metadata["reward_targets"][repr(row["threshold_frac"])]
+        reward, cost = run_episode(env, pol, nets, r_target, row["threshold_cost"])
+        assert row["cost_return"] == cost
+        assert row["reward_return"] == pytest.approx(reward, rel=1e-12, abs=1e-12)
+
+
+def test_evaluate_rows_match_run_episode(chain_env, stitch_dataset, models):
     nets, pol = models
-    cfg = EvalConfig(thresholds=(0.5,), episodes_per_point=4, seeds=(0, 1, 2))
+    # duplicates are one point: one deterministic rollout, one row
+    cfg = EvalConfig(thresholds=(0.5, 0.1, 0.3, 0.5, 0.9), target_reward_fraction=0.8)
     report = evaluate(pol, nets, chain_env, cfg, stitch_dataset.r_max,
                       stitch_dataset.c_max)
-    # deterministic policy + deterministic env: identical rows everywhere
-    rewards = {row["reward_return"] for row in report.rows}
-    costs = {row["cost_return"] for row in report.rows}
-    assert len(rewards) == 1 and len(costs) == 1
-    (summary,) = report.summary
-    assert summary["reward_return_std"] < 1e-12  # mean-rounding only
-    assert summary["cost_return_std"] < 1e-12
-    assert summary["n"] == 12
+    assert [row["threshold_frac"] for row in report.rows] == [0.1, 0.3, 0.5, 0.9]
+    assert [s["threshold_frac"] for s in report.summary] == [0.1, 0.3, 0.5, 0.9]
+    for row, summary in zip(report.rows, report.summary):
+        assert summary["reward_norm_mean"] == row["reward_norm"]
+        assert summary["cost_norm_mean"] == row["cost_norm"]
+    _assert_rows_match_run_episode(chain_env, pol, nets, report)
+
+
+def test_gridcircle_batched_evaluate_runs():
+    env = gas.make_env(gas.gridcircle_spec(16))
+    data = gas.generate_offline_dataset(env, gas.mix_by_name("default", gas.GRID_CIRCLE),
+                                        12, seed=4)
+    streams = seed_streams(5)
+    norm = InputNorm.fit(data)
+    nets = GoalNets.create(norm, 3, 3, 16, 16, streams["init_reward"], streams["init_cost"])
+    pol = PolicyNet.create(norm, 3, 2, 3, 16, 16, streams["init_policy"])
+    # a non-zero head, so the rows take different actions
+    pol.net.weights[-1][...] = streams["init_policy"].uniform(
+        -0.5, 0.5, size=pol.net.weights[-1].shape)
+    report = evaluate(pol, nets, env, EvalConfig(thresholds=(0.2, 0.6, 1.0)),
+                      data.r_max, data.c_max)
+    assert len(report.rows) == 3
+    assert all(np.isfinite(row["reward_return"]) for row in report.rows)
+    _assert_rows_match_run_episode(env, pol, nets, report)
 
 
 def test_sweep_has_one_summary_row_per_threshold(chain_env, stitch_dataset, models):
     nets, pol = models
     thresholds = [x / 10 for x in range(1, 10)]
-    report = threshold_sweep(pol, nets, chain_env, thresholds,
-                             stitch_dataset.r_max, stitch_dataset.c_max,
-                             episodes_per_point=1, seeds=(0,))
+    report = evaluate(pol, nets, chain_env, EvalConfig(tuple(thresholds)),
+                      stitch_dataset.r_max, stitch_dataset.c_max)
     assert len(report.summary) == 9
     assert len(report.rows) == 9
 
@@ -99,9 +125,8 @@ def test_robustness_matches_threshold_sweep_point(chain_env, stitch_dataset, mod
     nets, pol = models
     r_max, c_max = stitch_dataset.r_max, stitch_dataset.c_max
     target = 0.95 * r_max
-    sweep = threshold_sweep(pol, nets, chain_env, [0.2], r_max, c_max,
-                            episodes_per_point=1, seeds=(0,),
-                            target_reward_fraction=0.95)
+    sweep = evaluate(pol, nets, chain_env,
+                     EvalConfig((0.2,), target_reward_fraction=0.95), r_max, c_max)
     rows = robustness_sweep(pol, nets, chain_env, 0.2, [target], r_max, c_max)
     assert rows[0]["reward_return"] == sweep.rows[0]["reward_return"]
     assert rows[0]["cost_return"] == sweep.rows[0]["cost_return"]
@@ -117,7 +142,7 @@ def test_eval_env_mismatch_rejected(stitch_dataset, models):
 
 def test_report_serialization_deterministic(chain_env, stitch_dataset, models):
     nets, pol = models
-    cfg = EvalConfig(thresholds=(0.3,), episodes_per_point=2, seeds=(0,))
+    cfg = EvalConfig(thresholds=(0.3,))
 
     def render():
         report = evaluate(pol, nets, chain_env, cfg, stitch_dataset.r_max,
