@@ -4,11 +4,16 @@ Runs real training on the standard ChainRun stitching corpus (200
 trajectories, T=32) and checks the learned system against closed-form and
 brute-force ground truth. One pass/fail line is printed per criterion.
 
-Heavy models are trained once in session fixtures and shared; the full
-module takes roughly 15-30 CPU minutes.
+Heavy models are trained once per session and shared. The four trainings
+run side by side in spawned worker processes (one BLAS thread each): the
+module takes roughly 15-30 CPU minutes, and about half that in wall time on
+two cores.
 """
 
+import multiprocessing
+import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,38 +61,69 @@ def corpus():
     return env, data
 
 
-@pytest.fixture(scope="session")
-def trained(corpus):
-    """Default model: alpha=0.9, 20k iterations, standard mechanisms on."""
-    env, data = corpus
+# fixture name -> (augmentation, expectile level), in the order the
+# criteria first need them
+TRAININGS = {
+    "trained": (AugmentConfig(), ALPHA),  # the default model
+    "trained_alpha_half": (AugmentConfig(), 0.5),  # no-stitching degenerate case
+    # delta = 0 and cost targets pinned to segment costs
+    "trained_no_relabel": (AugmentConfig(delta=0.0, relabel_cost=False), ALPHA),
+    "trained_no_tsra": (AugmentConfig(tsra=False), ALPHA),  # suffix returns only
+}
+# a worker that dies loses its job; no training comes near this long
+TRAINING_WAIT_S = 1800
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+
+
+def _timed_train(data, augment, alpha):
+    """One 20k-iteration training; returns (result, seconds it took)."""
     t0 = time.monotonic()
-    result = train_gas(data, AugmentConfig(), HYPER, ALPHA, ITERATIONS,
-                       seed_streams(TRAIN_SEED))
+    result = train_gas(data, augment, HYPER, alpha, ITERATIONS, seed_streams(TRAIN_SEED))
     return result, time.monotonic() - t0
 
 
 @pytest.fixture(scope="session")
-def trained_alpha_half(corpus):
-    """Expectile level 0.5: the no-stitching degenerate case."""
-    env, data = corpus
-    return train_gas(data, AugmentConfig(), HYPER, 0.5, ITERATIONS,
-                     seed_streams(TRAIN_SEED))
+def trainings(request, corpus):
+    """The TRAININGS this session's tests use, submitted at once to a pool of
+    spawned workers.
+
+    Training is deterministic and these matrices are too small to gain from
+    a second BLAS thread, so a worker's model is bit-identical to one trained
+    in this process.
+    """
+    _, data = corpus
+    used = {name for item in request.session.items for name in item.fixturenames}
+    wanted = [name for name in TRAININGS if name in used]
+    workers = min(len(wanted), len(os.sched_getaffinity(0)))
+    with mock.patch.dict(os.environ, _ONE_BLAS_THREAD):  # read at worker start-up
+        pool = multiprocessing.get_context("spawn").Pool(workers)
+    jobs = {name: pool.apply_async(_timed_train, (data, *TRAININGS[name]))
+            for name in wanted}
+    yield jobs
+    pool.terminate()
+    pool.join()
 
 
 @pytest.fixture(scope="session")
-def trained_no_relabel(corpus):
-    """delta = 0 and cost targets pinned to segment costs."""
-    env, data = corpus
-    cfg = AugmentConfig(delta=0.0, relabel_cost=False)
-    return train_gas(data, cfg, HYPER, ALPHA, ITERATIONS, seed_streams(TRAIN_SEED))
+def trained(trainings):
+    """Default model and its training seconds: alpha=0.9, standard mechanisms on."""
+    return trainings["trained"].get(TRAINING_WAIT_S)
 
 
 @pytest.fixture(scope="session")
-def trained_no_tsra(corpus):
-    """Segment ends pinned to the horizon: suffix returns only."""
-    env, data = corpus
-    return train_gas(data, AugmentConfig(tsra=False), HYPER, ALPHA, ITERATIONS,
-                     seed_streams(TRAIN_SEED))
+def trained_alpha_half(trainings):
+    return trainings["trained_alpha_half"].get(TRAINING_WAIT_S)[0]
+
+
+@pytest.fixture(scope="session")
+def trained_no_relabel(trainings):
+    return trainings["trained_no_relabel"].get(TRAINING_WAIT_S)[0]
+
+
+@pytest.fixture(scope="session")
+def trained_no_tsra(trainings):
+    return trainings["trained_no_tsra"].get(TRAINING_WAIT_S)[0]
 
 
 @pytest.fixture(scope="session")
