@@ -14,7 +14,7 @@ Library layout:
 * :mod:`gas.config`, :mod:`gas.cli` -- run configuration and CLI
 """
 
-from .envs import (CHAIN_RUN, GRID_CIRCLE, EnvSpec, Step, Trajectory,
+from .envs import (CHAIN_RUN, GRID_CIRCLE, EnvSpec, Trajectory,
                    chainrun_spec, gridcircle_spec, make_env, rollout)
 from .dataset import (AugmentConfig, BehaviorMix, OfflineDataset, ReshapeIndex,
                       TransitionBatch, TransitionSample, build_reshape_index,

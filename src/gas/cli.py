@@ -131,8 +131,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 # metadata that eval, sweep and oracle-check read from goals.ckpt
-_TRAIN_META_KEYS = ("env_name", "state_dim", "r_max", "c_max", "alpha", "delta",
-                    "q_percent", "epsilon")
+_TRAIN_META_KEYS = ("env_name", "state_dim", "episode_length", "r_max", "c_max",
+                    "alpha", "delta", "q_percent", "epsilon")
 
 
 def _load_checkpoints(cfg: RunConfig, out: Path):
@@ -146,12 +146,13 @@ def _load_checkpoints(cfg: RunConfig, out: Path):
     missing = set(_TRAIN_META_KEYS) - set(gmeta)
     if missing:
         raise SchemaError(f"{goals_path} metadata lacks {sorted(missing)}")
-    env = make_env(spec_by_name(cfg.env_name, cfg.episode_length), cfg.seed)
-    if env.spec.state_dim != gmeta["state_dim"] or env.spec.name != gmeta["env_name"]:
-        raise GasError(
-            f"env/checkpoint mismatch: run is {env.spec.name} "
-            f"(state_dim {env.spec.state_dim}), checkpoint is {gmeta['env_name']} "
-            f"(state_dim {gmeta['state_dim']})")
+    spec = spec_by_name(cfg.env_name, cfg.episode_length)
+    run = (spec.name, spec.state_dim, spec.episode_length)
+    trained = (gmeta["env_name"], gmeta["state_dim"], gmeta["episode_length"])
+    if run != trained:
+        raise GasError(f"env/checkpoint mismatch (env, state_dim, episode_length): "
+                       f"run is {run}, checkpoint is {trained}")
+    env = make_env(spec, cfg.seed)
     ckpt_hash = {"goals.ckpt": sha256_file(goals_path),
                  "policy.ckpt": sha256_file(policy_path)}
     return nets, pol, env, gmeta, ckpt_hash
@@ -205,12 +206,28 @@ def cmd_ablate(cfg: RunConfig, kind: str) -> int:
     return EXIT_OK
 
 
+def _checkpoint_dataset(cfg: RunConfig, out: Path, meta: dict) -> ds.OfflineDataset:
+    """The corpus the checkpoint was trained on: ``dataset_path`` or the run's
+    dataset.gasdset, whose sha256 must be the one the checkpoint records."""
+    path = Path(cfg.dataset_path) if cfg.dataset_path else out / "dataset.gasdset"
+    if not path.exists():
+        raise ConfigError(f"missing dataset: {path}")
+    if sha256_file(path) != meta.get("dataset_sha256"):
+        raise GasError(f"dataset mismatch: {path} is not the corpus the checkpoint was trained on")
+    data = ds.load_dataset(path)
+    if not cfg.dataset_path and data.n != cfg.n_traj:
+        raise GasError(f"dataset mismatch: run has n_traj={cfg.n_traj}, "
+                       f"the checkpoint's corpus {path} has {data.n}")
+    return data
+
+
 def cmd_oracle_check(cfg: RunConfig) -> int:
-    """Compare trained goal nets against the brute-force oracle and check
-    that augmented segments dominate trajectory suffixes."""
+    """Compare trained goal nets against the brute-force oracle on the
+    checkpoint's own corpus and check that augmented segments dominate
+    trajectory suffixes."""
     out = _out_dir(cfg)
-    data, _ = _load_or_generate_dataset(cfg, out)
     nets, _pol, _env, meta, _ = _load_checkpoints(cfg, out)
+    data = _checkpoint_dataset(cfg, out, meta)
     T = data.horizon
     times = [t for t in (0, T // 4, T // 2, 3 * T // 4) if t < T]
     budgets = [data.c_max * f for f in (0.125, 0.25, 0.5, 1.0)]

@@ -10,8 +10,8 @@
   distribution conditional on their cost bin form a favored subset that
   is sampled with probability epsilon.
 
-Binary file format: magic ``GASDSET1``, little-endian header, contiguous
-f64 arrays per trajectory in (states, actions, rewards, costs) order.
+Binary file format: magic ``GASDSET1``, little-endian header, then one
+record per trajectory of contiguous f64 (states, actions, rewards, costs).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .envs import CHAIN_RUN, GRID_CIRCLE, EnvSpec, Trajectory, rollout
+from .envs import CHAIN_RUN, GRID_CIRCLE, EnvSpec, Trajectory, rollout_actors, spec_by_name
 from .errors import ConfigError, ContractError, SchemaError, parsing
 
 DATASET_MAGIC = b"GASDSET1"
@@ -36,15 +36,34 @@ DATASET_VERSION = 1
 
 @dataclass
 class OfflineDataset:
+    """N equal-length trajectories, stacked for vectorized sampling;
+    ``trajectories`` are per-episode views of the same arrays."""
+
     env_meta: EnvSpec
-    trajectories: list
+    states: np.ndarray = field(repr=False)         # (N, T, d)
+    actions: np.ndarray = field(repr=False)        # (N, T, adim)
+    rewards: np.ndarray = field(repr=False)        # (N, T)
+    costs: np.ndarray = field(repr=False)          # (N, T)
+    reward_prefix: np.ndarray = field(repr=False)  # (N, T+1)
+    cost_prefix: np.ndarray = field(repr=False)    # (N, T+1)
+    trajectories: list = field(repr=False)
     r_max: float
     c_max: float
-    # stacked copies for vectorized sampling
-    states: np.ndarray = field(repr=False, default=None)         # (N, T, d)
-    actions: np.ndarray = field(repr=False, default=None)        # (N, T, adim)
-    reward_prefix: np.ndarray = field(repr=False, default=None)  # (N, T+1)
-    cost_prefix: np.ndarray = field(repr=False, default=None)    # (N, T+1)
+
+    @classmethod
+    def from_arrays(cls, env_meta: EnvSpec, states, actions, rewards, costs) -> "OfflineDataset":
+        rewards = np.asarray(rewards, dtype=np.float64)
+        costs = np.asarray(costs, dtype=np.float64)
+        if rewards.shape[0] == 0:
+            raise ConfigError("dataset must contain at least one trajectory")
+        states = np.asarray(states, dtype=np.float64)
+        actions = np.asarray(actions, dtype=np.float64)
+        start = np.zeros((rewards.shape[0], 1))
+        rp = np.concatenate([start, np.cumsum(rewards, axis=1)], axis=1)
+        cp = np.concatenate([start, np.cumsum(costs, axis=1)], axis=1)
+        trajectories = [Trajectory(*arrays) for arrays in zip(states, actions, rewards, costs, rp, cp)]
+        return cls(env_meta, states, actions, rewards, costs, rp, cp, trajectories,
+                   r_max=float(rp[:, -1].max()), c_max=float(cp[:, -1].max()))
 
     @classmethod
     def from_trajectories(cls, env_meta: EnvSpec, trajectories: Sequence[Trajectory]) -> "OfflineDataset":
@@ -54,25 +73,16 @@ class OfflineDataset:
         for traj in trajectories:
             if traj.horizon != T:
                 raise ContractError("all trajectories must share the same horizon")
-        ds = cls(
-            env_meta=env_meta,
-            trajectories=list(trajectories),
-            r_max=max(t.total_reward for t in trajectories),
-            c_max=max(t.total_cost for t in trajectories),
-        )
-        ds.states = np.stack([t.states for t in trajectories])
-        ds.actions = np.stack([t.actions for t in trajectories])
-        ds.reward_prefix = np.stack([t.reward_prefix for t in trajectories])
-        ds.cost_prefix = np.stack([t.cost_prefix for t in trajectories])
-        return ds
+        return cls.from_arrays(env_meta, *(np.stack([getattr(t, name) for t in trajectories])
+                                           for name in _RECORD_FIELDS))
 
     @property
     def n(self) -> int:
-        return len(self.trajectories)
+        return self.states.shape[0]
 
     @property
     def horizon(self) -> int:
-        return self.trajectories[0].horizon
+        return self.states.shape[1]
 
     def total_returns(self) -> tuple[np.ndarray, np.ndarray]:
         return self.reward_prefix[:, -1].copy(), self.cost_prefix[:, -1].copy()
@@ -239,7 +249,7 @@ def mix_by_name(name: str, env_name: str) -> BehaviorMix:
     return table[name]()
 
 
-def _block_actor(T: int, start: int, length: int, fast_action: float, slow_action: float):
+def _block_actor(start: int, length: int, fast_action: float, slow_action: float):
     end = start + length
 
     def actor(_state, t):
@@ -272,7 +282,7 @@ def _make_actor(style: BehaviorStyle, spec: EnvSpec, rng: np.random.Generator):
     p = style.param_dict()
     if style.name == "slow":
         slow = p.get("slow_action", 0.0)
-        return _block_actor(T, 0, 0, 0.0, slow)
+        return _block_actor(0, 0, 0.0, slow)
     if style.name in ("block_head", "block_uniform"):
         max_len = p.get("max_len") or T
         min_len = p.get("min_len", 0)
@@ -281,7 +291,7 @@ def _make_actor(style: BehaviorStyle, spec: EnvSpec, rng: np.random.Generator):
             start = 0
         else:
             start = int(rng.integers(0, T - length + 1)) if length < T else 0
-        return _block_actor(T, start, length, p.get("fast_action", 1.0), p.get("slow_action", 0.0))
+        return _block_actor(start, length, p.get("fast_action", 1.0), p.get("slow_action", 0.0))
     if style.name == "constant":
         action = np.full(spec.action_dim, p.get("action", 0.0))
         return lambda _state, _t: action
@@ -295,17 +305,22 @@ def _make_actor(style: BehaviorStyle, spec: EnvSpec, rng: np.random.Generator):
 
 
 def generate_offline_dataset(env, mix: BehaviorMix, n_traj: int, seed: int) -> OfflineDataset:
-    """Roll out ``n_traj`` episodes under the mixture; deterministic per seed."""
+    """Roll out ``n_traj`` episodes under the mixture as one batch;
+    deterministic per seed.
+
+    Every actor is built first, drawing its style and then its parameters
+    from the seed's stream; rollouts draw no randomness, so the stream
+    does not depend on how the episodes are stepped.
+    """
     if n_traj <= 0:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0DA7A]))
     weights = mix.weights()
-    trajectories = []
+    actors = []
     for _ in range(n_traj):
         style = mix.styles[int(rng.choice(len(mix.styles), p=weights))]
-        actor = _make_actor(style, env.spec, rng)
-        trajectories.append(rollout(env, actor))
-    return OfflineDataset.from_trajectories(env.spec, trajectories)
+        actors.append(_make_actor(style, env.spec, rng))
+    return OfflineDataset.from_arrays(env.spec, *rollout_actors(env, actors))
 
 
 # -- relabeling ---------------------------------------------------------------
@@ -335,8 +350,6 @@ class ReshapeIndex:
     """Favored subset: transitions of trajectories in the top-q% reward
     quantile conditional on their cost bin (empirical CDF rule)."""
 
-    cost_bin_edges: np.ndarray
-    per_bin_threshold: np.ndarray
     member_traj_ids: np.ndarray
     horizon: int
 
@@ -355,16 +368,11 @@ def build_reshape_index(dataset: OfflineDataset, q_percent: float, cost_bins: in
     if cost_bins < 1:
         raise ConfigError(f"cost_bins must be >= 1, got {cost_bins}")
     rewards, costs = dataset.total_returns()
-    n = dataset.n
     p = 1.0 - q_percent / 100.0
     if dataset.c_max > 0:
-        edges = np.linspace(0.0, dataset.c_max, cost_bins + 1)
         bin_idx = np.minimum((costs / dataset.c_max * cost_bins).astype(int), cost_bins - 1)
     else:
-        edges = np.array([0.0, 0.0])
-        bin_idx = np.zeros(n, dtype=int)
-        cost_bins = 1
-    thresholds = np.full(cost_bins, -np.inf)
+        bin_idx = np.zeros(dataset.n, dtype=int)
     members = []
     for b in range(cost_bins):
         ids = np.flatnonzero(bin_idx == b)
@@ -375,11 +383,7 @@ def build_reshape_index(dataset: OfflineDataset, q_percent: float, cost_bins: in
         ranks = (r[:, None] >= r[None, :]).sum(axis=1)
         keep = ranks / ids.size > p
         members.extend(ids[keep].tolist())
-        k = int(np.ceil(p * ids.size))
-        if k >= 1:
-            thresholds[b] = np.sort(r)[k - 1]
-    members = np.array(sorted(members), dtype=int)
-    return ReshapeIndex(edges, thresholds, members, dataset.horizon)
+    return ReshapeIndex(np.array(sorted(members), dtype=int), dataset.horizon)
 
 
 # -- batch sampling -----------------------------------------------------------
@@ -440,18 +444,28 @@ def sample_batch(dataset: OfflineDataset, reshape: "ReshapeIndex | None",
 # -- serialization ------------------------------------------------------------
 
 
+_RECORD_FIELDS = ("states", "actions", "rewards", "costs")
+
+
+def _record_dtype(T: int, state_dim: int, action_dim: int) -> np.dtype:
+    """One trajectory's bytes in the file: its four arrays back to back."""
+    return np.dtype([("states", "<f8", (T, state_dim)), ("actions", "<f8", (T, action_dim)),
+                     ("rewards", "<f8", (T,)), ("costs", "<f8", (T,))])
+
+
 def save_dataset(dataset: OfflineDataset, path) -> None:
     meta = dataset.env_meta
     name_bytes = meta.name.encode("utf-8")
+    records = np.empty(dataset.n, _record_dtype(*dataset.states.shape[1:], dataset.actions.shape[2]))
+    for name in _RECORD_FIELDS:
+        records[name] = getattr(dataset, name)
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<5I2d", DATASET_VERSION, meta.state_dim, meta.action_dim,
                              meta.episode_length, dataset.n, dataset.r_max, dataset.c_max))
         fh.write(struct.pack("<I", len(name_bytes)))
         fh.write(name_bytes)
-        for traj in dataset.trajectories:
-            for arr in (traj.states, traj.actions, traj.rewards, traj.costs):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(records)
 
 
 def load_dataset(path) -> OfflineDataset:
@@ -468,24 +482,16 @@ def load_dataset(path) -> OfflineDataset:
             raise SchemaError(f"unsupported dataset version {version}, expected {DATASET_VERSION}")
         (name_len,) = struct.unpack("<I", fh.read(4))
         name = fh.read(name_len).decode("utf-8")
-        from .envs import spec_by_name
-
         spec = spec_by_name(name, T)
         if spec.state_dim != state_dim or spec.action_dim != action_dim:
             raise SchemaError(
                 f"dimension mismatch for {name!r}: header says "
                 f"({state_dim}, {action_dim}), spec says ({spec.state_dim}, {spec.action_dim})")
-        trajectories = []
-        for _ in range(n_traj):
-            chunks = []
-            for shape in ((T, state_dim), (T, action_dim), (T,), (T,)):
-                count = int(np.prod(shape))
-                buf = fh.read(count * 8)
-                if len(buf) != count * 8:
-                    raise SchemaError("truncated trajectory data")
-                chunks.append(np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape))
-            trajectories.append(Trajectory.from_arrays(*chunks))
-        ds = OfflineDataset.from_trajectories(spec, trajectories)
+        body = fh.read()
+        if len(body) < n_traj * T * (state_dim + action_dim + 2) * 8:
+            raise SchemaError("truncated trajectory data")
+        records = np.frombuffer(body, _record_dtype(T, state_dim, action_dim), count=n_traj)
+        ds = OfflineDataset.from_arrays(spec, *(records[name].copy() for name in _RECORD_FIELDS))
     if not (np.isclose(ds.r_max, r_max) and np.isclose(ds.c_max, c_max)):
         raise SchemaError(
             f"header maxima ({r_max}, {c_max}) disagree with data ({ds.r_max}, {ds.c_max})")

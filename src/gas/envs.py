@@ -52,14 +52,6 @@ def gridcircle_spec(episode_length: int = 64) -> EnvSpec:
     return EnvSpec(GRID_CIRCLE, episode_length, state_dim=3, action_dim=2)
 
 
-@dataclass(frozen=True)
-class Step:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    cost: float
-
-
 @dataclass
 class Trajectory:
     """Fixed-length episode with prefix sums for O(1) segment returns.
@@ -102,9 +94,6 @@ class Trajectory:
     def total_cost(self) -> float:
         return float(self.cost_prefix[-1])
 
-    def step(self, i: int) -> Step:
-        return Step(self.states[i], self.actions[i], float(self.rewards[i]), float(self.costs[i]))
-
     def segment_return(self, t: int, gamma: int) -> tuple[float, float]:
         """Exact (reward, cost) return of the inclusive segment [t, gamma]."""
         if not (0 <= t <= gamma < self.horizon):
@@ -114,42 +103,48 @@ class Trajectory:
         return r, c
 
 
-class ChainRunEnv:
-    """1-D runner; state is (position x, normalized time tau)."""
+class _ToyEnv:
+    """Dynamics live in ``step_batch`` over (B, d) states; ``step`` is its
+    one-row case. Out-of-range actions are clipped to [-1, 1] and counted
+    in ``clamp_warnings``, one per clipped row."""
 
     def __init__(self, spec: EnvSpec, seed: int = 0):
         self.spec = spec
         self.seed = seed
         self.clamp_warnings = 0
 
+    def step(self, state, action, t: int):
+        next_states, rewards, costs, done = self.step_batch(
+            np.asarray(state, dtype=np.float64)[None, :], action, t)
+        return next_states[0], float(rewards[0]), float(costs[0]), done
+
+    def _clamped_actions(self, actions, t: int) -> np.ndarray:
+        """(B, action_dim) actions clipped to [-1, 1], one warning per clipped row."""
+        if t >= self.spec.episode_length:
+            raise ContractError(f"step at t={t} past horizon T={self.spec.episode_length}")
+        a = np.asarray(actions, dtype=np.float64).reshape(-1, self.spec.action_dim)
+        out_of_range = np.any(np.abs(a) > 1.0, axis=1)
+        if out_of_range.any():
+            self.clamp_warnings += int(out_of_range.sum())
+            a = np.clip(a, -1.0, 1.0)
+        return a
+
+
+class ChainRunEnv(_ToyEnv):
+    """1-D runner; state is (position x, normalized time tau)."""
+
     def reset(self) -> np.ndarray:
         return np.array([0.0, 0.0])
 
-    def step(self, state, action, t: int):
-        T = self.spec.episode_length
-        if t >= T:
-            raise ContractError(f"step at t={t} past horizon T={T}")
-        a = np.atleast_1d(np.asarray(action, dtype=np.float64))
-        if np.any(np.abs(a) > 1.0):
-            self.clamp_warnings += 1
-            a = np.clip(a, -1.0, 1.0)
-        v = (a[0] + 1.0) / 2.0
-        x = state[0] + v
-        reward = v
-        cost = 1.0 if v > 0.5 else 0.0
-        next_state = np.array([x, (t + 1) / T])
-        return next_state, float(reward), cost, t + 1 == T
-
     def step_batch(self, states, actions, t: int):
-        """``step`` on every row of (B, d) states at time t, bit for bit."""
         T = self.spec.episode_length
-        a = _clamped_actions(self, actions, t)
+        a = self._clamped_actions(actions, t)
         v = (a[:, 0] + 1.0) / 2.0
         next_states = np.column_stack([states[:, 0] + v, np.full(len(v), (t + 1) / T)])
         return next_states, v, (v > 0.5).astype(np.float64), t + 1 == T
 
 
-class GridCircleEnv:
+class GridCircleEnv(_ToyEnv):
     """2-D circler; state is (x, y, normalized time tau).
 
     Reward is the counter-clockwise tangential progress (x*a_y - y*a_x)
@@ -157,34 +152,12 @@ class GridCircleEnv:
     the radial band [0.5, 1.5].
     """
 
-    def __init__(self, spec: EnvSpec, seed: int = 0):
-        self.spec = spec
-        self.seed = seed
-        self.clamp_warnings = 0
-
     def reset(self) -> np.ndarray:
         return np.array([1.0, 0.0, 0.0])
 
-    def step(self, state, action, t: int):
-        T = self.spec.episode_length
-        if t >= T:
-            raise ContractError(f"step at t={t} past horizon T={T}")
-        a = np.asarray(action, dtype=np.float64)
-        if np.any(np.abs(a) > 1.0):
-            self.clamp_warnings += 1
-            a = np.clip(a, -1.0, 1.0)
-        x, y = state[0], state[1]
-        nx, ny = x + 0.1 * a[0], y + 0.1 * a[1]
-        reward = (x * a[1] - y * a[0]) / max(np.hypot(x, y), 0.5)
-        radius = np.hypot(nx, ny)
-        cost = 1.0 if (radius > 1.5 or radius < 0.5) else 0.0
-        next_state = np.array([nx, ny, (t + 1) / T])
-        return next_state, float(reward), cost, t + 1 == T
-
     def step_batch(self, states, actions, t: int):
-        """``step`` on every row of (B, d) states at time t, bit for bit."""
         T = self.spec.episode_length
-        a = _clamped_actions(self, actions, t)
+        a = self._clamped_actions(actions, t)
         x, y = states[:, 0], states[:, 1]
         nx, ny = x + 0.1 * a[:, 0], y + 0.1 * a[:, 1]
         rewards = (x * a[:, 1] - y * a[:, 0]) / np.maximum(np.hypot(x, y), 0.5)
@@ -192,18 +165,6 @@ class GridCircleEnv:
         costs = ((radius > 1.5) | (radius < 0.5)).astype(np.float64)
         next_states = np.column_stack([nx, ny, np.full(len(x), (t + 1) / T)])
         return next_states, rewards, costs, t + 1 == T
-
-
-def _clamped_actions(env, actions, t: int) -> np.ndarray:
-    """(B, action_dim) actions clipped to [-1, 1], one warning per clipped row."""
-    if t >= env.spec.episode_length:
-        raise ContractError(f"step at t={t} past horizon T={env.spec.episode_length}")
-    a = np.asarray(actions, dtype=np.float64).reshape(-1, env.spec.action_dim)
-    out_of_range = np.any(np.abs(a) > 1.0, axis=1)
-    if out_of_range.any():
-        env.clamp_warnings += int(out_of_range.sum())
-        a = np.clip(a, -1.0, 1.0)
-    return a
 
 
 _ENV_CLASSES = {CHAIN_RUN: ChainRunEnv, GRID_CIRCLE: GridCircleEnv}
@@ -225,22 +186,29 @@ def spec_by_name(name: str, episode_length: int) -> EnvSpec:
     raise ConfigError(f"unknown environment {name!r}")
 
 
-def rollout(env, actor: ActionSource, T: "int | None" = None) -> Trajectory:
-    """Run ``actor`` for T steps and return the trajectory with prefix sums."""
-    if T is None:
-        T = env.spec.episode_length
-    state = env.reset()
-    d, adim = env.spec.state_dim, env.spec.action_dim
-    states = np.empty((T, d))
-    actions = np.empty((T, adim))
-    rewards = np.empty(T)
-    costs = np.empty(T)
+def rollout_actors(env, actors: "list[ActionSource]"):
+    """Run every actor for one episode from ``env.reset()``, all stepped
+    together: one ``step_batch`` per t. Returns the stacked (N, T, d) states,
+    (N, T, action_dim) clipped actions and (N, T) rewards and costs."""
+    spec = env.spec
+    n, T = len(actors), spec.episode_length
+    states = np.empty((n, T, spec.state_dim))
+    actions = np.empty((n, T, spec.action_dim))
+    rewards = np.empty((n, T))
+    costs = np.empty((n, T))
+    state = np.tile(env.reset(), (n, 1))
     for t in range(T):
-        action = np.atleast_1d(np.asarray(actor(state, t), dtype=np.float64))
-        states[t] = state
-        next_state, r, c, _done = env.step(state, action, t)
-        actions[t] = np.clip(action, -1.0, 1.0)
-        rewards[t] = r
-        costs[t] = c
-        state = next_state
-    return Trajectory.from_arrays(states, actions, rewards, costs)
+        states[:, t] = state
+        rows = actions[:, t]
+        # an actor returns a float or an (action_dim,) array; row assignment
+        # broadcasts either without building an array per call
+        for i, actor in enumerate(actors):
+            rows[i] = actor(state[i], t)
+        state, rewards[:, t], costs[:, t], _done = env.step_batch(state, rows, t)
+    np.clip(actions, -1.0, 1.0, out=actions)
+    return states, actions, rewards, costs
+
+
+def rollout(env, actor: ActionSource) -> Trajectory:
+    """Run ``actor`` for one episode and return the trajectory with prefix sums."""
+    return Trajectory.from_arrays(*(arr[0] for arr in rollout_actors(env, [actor])))

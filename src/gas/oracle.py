@@ -11,7 +11,6 @@ Also houses the analytic ChainRun planner used as the acceptance yardstick.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,6 @@ class ProbeQuery:
         if np.any(self.state_tolerance <= 0):
             raise ContractError("state tolerances must be positive")
 
-    def to_dict(self) -> dict:
-        return {"state": self.state.tolist(), "t_prime": self.t_prime,
-                "c_hat": self.c_hat, "state_tolerance": self.state_tolerance.tolist()}
-
 
 @dataclass(frozen=True)
 class OracleAnswer:
@@ -46,10 +41,6 @@ class OracleAnswer:
     v_c_star: "float | None"
     support_count: int
     feasible: bool
-
-    def to_dict(self) -> dict:
-        return {"v_r_star": self.v_r_star, "v_c_star": self.v_c_star,
-                "support_count": self.support_count, "feasible": self.feasible}
 
 
 def default_state_tolerance(spec: EnvSpec) -> np.ndarray:
@@ -126,11 +117,3 @@ def probe_grid_from_dataset(dataset: OfflineDataset, traj_ids, times, budgets,
                 probes.append(ProbeQuery(dataset.states[i, t].copy(), int(t),
                                          float(c_hat), tolerance))
     return probes
-
-
-def save_probes(path, probes, answers) -> None:
-    with open(path, "w") as fh:
-        for p, a in zip(probes, answers):
-            fh.write(json.dumps({"probe": p.to_dict(), "answer": a.to_dict()},
-                                sort_keys=True))
-            fh.write("\n")

@@ -198,3 +198,51 @@ def test_checkpoint_without_training_metadata_exits_runtime_error(tmp_path, caps
     gas.save_goals(tmp_path / "goals.ckpt", nets, {"note": "no training metadata"})
     assert run(tmp_path, "sweep") == 2
     assert "metadata lacks" in capsys.readouterr().err
+
+
+# -- oracle-check and the checkpoint's corpus ------------------------------------
+
+def test_oracle_check_scores_the_run_corpus_without_rewriting_it(tmp_path, monkeypatch):
+    assert run(tmp_path, "train") == 0
+    corpus = (tmp_path / "dataset.gasdset").read_bytes()
+
+    def no_generation(*_args, **_kwargs):
+        raise AssertionError("oracle-check must read the run's corpus, not regenerate it")
+
+    monkeypatch.setattr(gas.dataset, "generate_offline_dataset", no_generation)
+    monkeypatch.setattr(gas.dataset, "save_dataset", no_generation)
+    assert run(tmp_path, "oracle-check") in (0, 3)  # tiny run may miss the 0.9 agreement gate
+    payload = json.loads((tmp_path / "oracle_check.json").read_text())
+    assert {"probes", "feasible", "agreement_fraction", "dominance_ok"} == set(payload)
+    assert payload["probes"] > 0
+    assert (tmp_path / "dataset.gasdset").read_bytes() == corpus
+
+
+@pytest.mark.parametrize("other", [["n_traj=40"], ["gen-dataset", "seed=4"]],
+                         ids=["n_traj", "sha256"])
+def test_oracle_check_rejects_a_corpus_the_checkpoint_was_not_trained_on(tmp_path, capsys, other):
+    assert run(tmp_path, "train") == 0
+    if other[0] == "gen-dataset":  # same config, another seed: a different corpus in place
+        assert run(tmp_path, *other) == 0
+        other = []
+    corpus = (tmp_path / "dataset.gasdset").read_bytes()
+    assert run(tmp_path, "oracle-check", *other) == 2
+    assert "dataset mismatch" in capsys.readouterr().err
+    assert (tmp_path / "dataset.gasdset").read_bytes() == corpus
+    assert not (tmp_path / "oracle_check.json").exists()
+
+
+def test_oracle_check_missing_dataset_exits_config_error(tmp_path, capsys):
+    assert run(tmp_path, "train") == 0
+    (tmp_path / "dataset.gasdset").unlink()
+    assert run(tmp_path, "oracle-check") == 1
+    assert "missing dataset" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.gasdset").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "oracle-check"])
+def test_episode_length_mismatch_exits_runtime_error(tmp_path, capsys, command):
+    assert run(tmp_path, "train") == 0  # episode_length=8
+    assert run(tmp_path, command, "episode_length=16") == 2
+    assert "mismatch" in capsys.readouterr().err
+    assert not (tmp_path / f"{command.replace('-', '_')}.json").exists()

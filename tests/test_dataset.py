@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,63 @@ def test_generation_determinism(chain_env):
     assert a.states.tobytes() == b.states.tobytes()
     assert a.actions.tobytes() == b.actions.tobytes()
     assert a.reward_prefix.tobytes() == b.reward_prefix.tobytes()
+
+
+# sha256 of the saved corpus and the env's clamp_warnings total after
+# generating 200 trajectories, recorded from the per-trajectory rollout loop
+# that batched generation replaced
+GOLDEN_CORPORA = [
+    ("ChainRun", 32, gas.stitch_mix(), 0, 0,
+     "d2d7bd7f20939ee453d7bb97f6428a7c82e1656b68e44a15710c612339ce3655"),
+    ("ChainRun", 32, gas.stitch_mix(), 7, 0,
+     "a516a289363eb58ad3cefc710ccd3976f39b051d817bb456ca084233ef132598"),
+    ("ChainRun", 32, gas.pure_block_mix(), 1, 0,
+     "89ff6d6588c95a3c283ae5d30c5f08988d4e2d71332ea9746a4c19687f0b1ffb"),
+    ("ChainRun", 32, gas.slow_only_mix(), 2, 0,
+     "6d0026682e2fbf53554c8c3b3934607792f81bacc9eaa44f693df82d5b591812"),
+    ("GridCircle", 64, gas.dataset.gridcircle_mix(), 0, 0,
+     "f57f7f524ed2ec761f6d54ede7405f7f4be0a2c28f4527f37b62dafffd5f96bd"),
+    # every action out of range: clipped when stepped and when stored
+    ("ChainRun", 32, gas.pure_block_mix(1.5, -1.25), 3, 6400,
+     "d256a1e5976f9dd28303efdf0c4bfc79f2dd0c525a391181e2c0bff0294e4208"),
+]
+
+
+@pytest.mark.parametrize("env_name, T, mix, seed, clamps, digest", GOLDEN_CORPORA,
+                         ids=["stitch-0", "stitch-7", "pure_block-1", "slow_only-2",
+                              "gridcircle-0", "pure_block_clamped-3"])
+def test_generated_corpus_bytes_are_pinned(tmp_path, env_name, T, mix, seed, clamps, digest):
+    env = gas.make_env(gas.envs.spec_by_name(env_name, T), seed)
+    save_dataset(generate_offline_dataset(env, mix, 200, seed), tmp_path / "d.gasdset")
+    assert hashlib.sha256((tmp_path / "d.gasdset").read_bytes()).hexdigest() == digest
+    assert env.clamp_warnings == clamps
+
+
+@pytest.mark.parametrize("spec, mix", [
+    (gas.chainrun_spec(16), gas.stitch_mix()),
+    (gas.chainrun_spec(16), gas.pure_block_mix(1.5, -1.25)),
+    (gas.gridcircle_spec(16), gas.dataset.gridcircle_mix()),
+], ids=["stitch", "pure_block_clamped", "gridcircle"])
+def test_rollout_equals_row_of_batched_generation(monkeypatch, spec, mix):
+    """``rollout`` of one actor is the corresponding row of the batch the
+    generator stepped, bit for bit, clamp warnings included."""
+    actors = []
+    batched = gas.dataset.rollout_actors
+
+    def capture(env, batch):
+        actors.extend(batch)
+        return batched(env, batch)
+
+    monkeypatch.setattr(gas.dataset, "rollout_actors", capture)
+    env = gas.make_env(spec)
+    data = generate_offline_dataset(env, mix, 24, seed=5)
+    single = gas.make_env(spec)
+    assert len(actors) == data.n
+    for actor, row in zip(actors, data.trajectories):
+        traj = gas.rollout(single, actor)
+        for name in ("states", "actions", "rewards", "costs", "reward_prefix", "cost_prefix"):
+            assert getattr(traj, name).tobytes() == getattr(row, name).tobytes()
+    assert single.clamp_warnings == env.clamp_warnings
 
 
 def test_generation_rejects_bad_n(chain_env):

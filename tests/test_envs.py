@@ -130,11 +130,30 @@ def test_chainrun_analytic_optimum_exhaustive():
                 gas.chainrun_optimum_exhaustive(T, budget)
 
 
+def _reference_step(spec, state, action, t):
+    """Per-row dynamics written out with scalars, the reference for the
+    vectorized ``step_batch``; returns (next_state, reward, cost, clamped)."""
+    T = spec.episode_length
+    a = np.asarray(action, dtype=np.float64)
+    clamped = bool(np.any(np.abs(a) > 1.0))
+    a = np.clip(a, -1.0, 1.0)
+    if spec.name == gas.CHAIN_RUN:
+        v = (a[0] + 1.0) / 2.0
+        return np.array([state[0] + v, (t + 1) / T]), v, 1.0 if v > 0.5 else 0.0, clamped
+    x, y = state[0], state[1]
+    nx, ny = x + 0.1 * a[0], y + 0.1 * a[1]
+    reward = (x * a[1] - y * a[0]) / max(np.hypot(x, y), 0.5)
+    radius = np.hypot(nx, ny)
+    cost = 1.0 if (radius > 1.5 or radius < 0.5) else 0.0
+    return np.array([nx, ny, (t + 1) / T]), reward, cost, clamped
+
+
 @pytest.mark.parametrize("spec", [gas.chainrun_spec(8), gas.gridcircle_spec(8)],
                          ids=["ChainRun", "GridCircle"])
 def test_step_batch_rows_equal_step(spec):
-    """Row i of step_batch equals step on row i bit for bit, out-of-range
-    actions included, and both count one clamp warning per clamped row."""
+    """Row i of step_batch, and step on row i, equal the scalar reference
+    dynamics bit for bit, out-of-range actions included; both count one
+    clamp warning per clamped row."""
     rng = np.random.default_rng(21)
     B = 64
     states = rng.uniform(-2.0, 2.0, size=(B, spec.state_dim))
@@ -143,13 +162,17 @@ def test_step_batch_rows_equal_step(spec):
                    [0.0] * spec.action_dim, [4.0] * spec.action_dim]
     states[:2, :2] = 0.0  # the GridCircle origin, where max(|p|, 0.5) binds
     single, batched = gas.make_env(spec), gas.make_env(spec)
+    clamped = 0
     for t in (0, spec.episode_length - 1):
         ns, r, c, done = batched.step_batch(states, actions, t)
+        assert done == (t == spec.episode_length - 1)
         for i in range(B):
+            ref_ns, ref_r, ref_c, ref_clamped = _reference_step(spec, states[i], actions[i], t)
+            clamped += ref_clamped
             ns_i, r_i, c_i, done_i = single.step(states[i], actions[i], t)
-            assert ns[i].tobytes() == ns_i.tobytes()
-            assert r[i].tobytes() == np.float64(r_i).tobytes()
-            assert c[i] == c_i and done == done_i
-    assert batched.clamp_warnings == single.clamp_warnings > 0
+            assert ns[i].tobytes() == ns_i.tobytes() == ref_ns.tobytes()
+            assert r[i].tobytes() == np.float64(r_i).tobytes() == np.float64(ref_r).tobytes()
+            assert c[i] == c_i == ref_c and done_i == done
+    assert batched.clamp_warnings == single.clamp_warnings == clamped > 0
     with pytest.raises(ContractError):
         batched.step_batch(states, actions, spec.episode_length)
