@@ -58,7 +58,7 @@ def _load_or_generate_dataset(cfg: RunConfig, out: Path) -> tuple[ds.OfflineData
         path = Path(cfg.dataset_path)
         return ds.load_dataset(path), path
     spec = spec_by_name(cfg.env_name, cfg.episode_length)
-    env = make_env(spec, cfg.seed)
+    env = make_env(spec)
     mix = ds.mix_by_name(cfg.behavior_mix, cfg.env_name)
     data = ds.generate_offline_dataset(env, mix, cfg.n_traj, cfg.seed)
     path = out / "dataset.gasdset"
@@ -152,7 +152,7 @@ def _load_checkpoints(cfg: RunConfig, out: Path):
     if run != trained:
         raise GasError(f"env/checkpoint mismatch (env, state_dim, episode_length): "
                        f"run is {run}, checkpoint is {trained}")
-    env = make_env(spec, cfg.seed)
+    env = make_env(spec)
     ckpt_hash = {"goals.ckpt": sha256_file(goals_path),
                  "policy.ckpt": sha256_file(policy_path)}
     return nets, pol, env, gmeta, ckpt_hash
@@ -188,7 +188,7 @@ def cmd_ablate(cfg: RunConfig, kind: str) -> int:
     eval_cfg = EvalConfig(tuple(cfg.thresholds), cfg.target_reward_fraction)
     out = _out_dir(cfg)
     data, _ = _load_or_generate_dataset(cfg, out)
-    env = make_env(data.env_meta, cfg.seed)
+    env = make_env(data.env_meta)
     results = run_ablation(kind, data, _aug_config(cfg), _net_hyper(cfg),
                               cfg.alpha, cfg.iterations, cfg.seed, env, eval_cfg,
                               cfg.schedule)

@@ -65,7 +65,6 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    f = _FIELDS[key]
     default = getattr(RunConfig(), key)
     raw = raw.strip()
     try:
@@ -155,13 +154,11 @@ def sha256_file(path) -> str:
 
 # named seed streams, fixed ids so ablations share unrelated streams
 _STREAM_IDS = {
-    "dataset": 1,
     "relabel": 2,
     "init_reward": 3,
     "init_cost": 4,
     "init_policy": 5,
     "batch": 6,
-    "eval": 7,
 }
 
 

@@ -20,7 +20,6 @@ import io
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,17 +64,6 @@ class OfflineDataset:
         return cls(env_meta, states, actions, rewards, costs, rp, cp, trajectories,
                    r_max=float(rp[:, -1].max()), c_max=float(cp[:, -1].max()))
 
-    @classmethod
-    def from_trajectories(cls, env_meta: EnvSpec, trajectories: Sequence[Trajectory]) -> "OfflineDataset":
-        if not trajectories:
-            raise ConfigError("dataset must contain at least one trajectory")
-        T = trajectories[0].horizon
-        for traj in trajectories:
-            if traj.horizon != T:
-                raise ContractError("all trajectories must share the same horizon")
-        return cls.from_arrays(env_meta, *(np.stack([getattr(t, name) for t in trajectories])
-                                           for name in _RECORD_FIELDS))
-
     @property
     def n(self) -> int:
         return self.states.shape[0]
@@ -86,25 +74,6 @@ class OfflineDataset:
 
     def total_returns(self) -> tuple[np.ndarray, np.ndarray]:
         return self.reward_prefix[:, -1].copy(), self.cost_prefix[:, -1].copy()
-
-
-def segment_return(traj: Trajectory, t: int, gamma: int) -> tuple[float, float]:
-    """Exact prefix-sum difference over the inclusive window [t, gamma]."""
-    return traj.segment_return(t, gamma)
-
-
-@dataclass(frozen=True)
-class TransitionSample:
-    state: np.ndarray
-    action: np.ndarray
-    t: int
-    gamma: int
-    r_seg: float
-    c_seg: float
-    t_prime: int
-    r_hat: float
-    c_hat: float
-    from_reshape: bool
 
 
 @dataclass
@@ -124,16 +93,6 @@ class TransitionBatch:
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    def sample(self, i: int) -> TransitionSample:
-        return TransitionSample(
-            self.states[i], self.actions[i], int(self.t[i]), int(self.gamma[i]),
-            float(self.r_seg[i]), float(self.c_seg[i]), int(self.t_prime[i]),
-            float(self.r_hat[i]), float(self.c_hat[i]), bool(self.from_reshape[i]),
-        )
-
-    def __iter__(self) -> Iterator[TransitionSample]:
-        return (self.sample(i) for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -351,15 +310,6 @@ class ReshapeIndex:
     quantile conditional on their cost bin (empirical CDF rule)."""
 
     member_traj_ids: np.ndarray
-    horizon: int
-
-    @property
-    def member_ids(self) -> list:
-        return [(int(i), t) for i in self.member_traj_ids for t in range(self.horizon)]
-
-    @property
-    def n_member_pairs(self) -> int:
-        return len(self.member_traj_ids) * self.horizon
 
 
 def build_reshape_index(dataset: OfflineDataset, q_percent: float, cost_bins: int) -> ReshapeIndex:
@@ -383,7 +333,7 @@ def build_reshape_index(dataset: OfflineDataset, q_percent: float, cost_bins: in
         ranks = (r[:, None] >= r[None, :]).sum(axis=1)
         keep = ranks / ids.size > p
         members.extend(ids[keep].tolist())
-    return ReshapeIndex(np.array(sorted(members), dtype=int), dataset.horizon)
+    return ReshapeIndex(np.array(sorted(members), dtype=int))
 
 
 # -- batch sampling -----------------------------------------------------------

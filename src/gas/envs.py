@@ -34,14 +34,10 @@ class EnvSpec:
     episode_length: int
     state_dim: int
     action_dim: int
-    discount: float = 1.0
-    cost_max_per_step: float = 1.0
 
     def __post_init__(self) -> None:
         if self.episode_length < 2:
             raise ConfigError(f"episode_length must be >= 2, got {self.episode_length}")
-        if self.discount != 1.0:
-            raise ConfigError("discount is pinned to 1.0 (undiscounted returns)")
 
 
 def chainrun_spec(episode_length: int = 32) -> EnvSpec:
@@ -108,9 +104,8 @@ class _ToyEnv:
     one-row case. Out-of-range actions are clipped to [-1, 1] and counted
     in ``clamp_warnings``, one per clipped row."""
 
-    def __init__(self, spec: EnvSpec, seed: int = 0):
+    def __init__(self, spec: EnvSpec):
         self.spec = spec
-        self.seed = seed
         self.clamp_warnings = 0
 
     def step(self, state, action, t: int):
@@ -171,11 +166,14 @@ _ENV_CLASSES = {CHAIN_RUN: ChainRunEnv, GRID_CIRCLE: GridCircleEnv}
 
 
 def make_env(spec: EnvSpec, seed: int = 0):
-    """Build an environment from its spec; unknown names are config errors."""
+    """Build an environment from its spec; unknown names are config errors.
+
+    Both environments are deterministic, so ``seed`` changes nothing.
+    """
     if spec.name not in _ENV_CLASSES:
         known = ", ".join(sorted(_ENV_CLASSES))
         raise ConfigError(f"unknown environment {spec.name!r} (known: {known})")
-    return _ENV_CLASSES[spec.name](spec, seed)
+    return _ENV_CLASSES[spec.name](spec)
 
 
 def spec_by_name(name: str, episode_length: int) -> EnvSpec:

@@ -1,9 +1,10 @@
 """Evaluation protocols: normalized metrics, sweeps, and ablations.
 
 Metrics: reward_norm = R_pi / R_max (dataset maximum reward return) and
-cost_norm = C_pi / L where L = threshold_fraction * C_max. A run is "safe"
-at a threshold when cost_norm <= 1.1 (finite-sample tolerance above the
-nominal 1.0 boundary).
+cost_norm = C_pi / L where L = threshold_fraction * C_max; at L = 0 (a
+corpus without cost) cost_norm is 0 for C_pi = 0 and inf otherwise. A run
+is "safe" at a threshold when cost_norm <= 1.1 (finite-sample tolerance
+above the nominal 1.0 boundary).
 
 All sweeps are zero-shot: one fixed checkpoint evaluated under different
 (reward target, cost budget) pairs, no retraining.
@@ -96,6 +97,11 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _cost_norm(cost: float, budget: float) -> float:
+    """C / L; with L = 0, 0 when nothing was spent and inf otherwise."""
+    return cost / budget if budget > 0 else (float("inf") if cost > 0 else 0.0)
+
+
 def rollout_policy(env, pol: PolicyNet, nets: GoalNets, r_targets, c_targets,
                    trace: "list | None" = None) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic rollouts from the start state, one per (reward target,
@@ -160,7 +166,7 @@ def evaluate(pol: PolicyNet, nets: GoalNets, env, cfg: EvalConfig, r_max: float,
     rows = [{"threshold_frac": frac, "threshold_cost": float(c_target),
              "reward_return": float(reward), "cost_return": float(cost),
              "reward_norm": float(reward / r_max),
-             "cost_norm": float(cost / c_target if c_target > 0 else (cost > 0) * np.inf)}
+             "cost_norm": _cost_norm(float(cost), c_target)}
             for frac, c_target, reward, cost in zip(fracs, c_targets, rewards, costs)]
     summary = [{"threshold_frac": row["threshold_frac"],
                 **{f"{col}_mean": row[col] for col in _METRIC_COLUMNS}} for row in rows]
@@ -181,10 +187,6 @@ def sweep_gates(report: EvalReport) -> dict:
     return {"cost_within_tolerance": costs_ok,
             "reward_non_decreasing": monotone_ok,
             "passed": costs_ok and monotone_ok}
-
-
-ROBUSTNESS_COLUMNS = ("model", "reward_target", "threshold_cost",
-                      "reward_return", "cost_return", "reward_norm", "cost_norm")
 
 
 def robustness_sweep(pol: PolicyNet, nets: GoalNets, env, threshold_frac: float,
@@ -214,7 +216,7 @@ def robustness_sweep(pol: PolicyNet, nets: GoalNets, env, threshold_frac: float,
                 "reward_return": reward,
                 "cost_return": cost,
                 "reward_norm": reward / r_max,
-                "cost_norm": cost / c_target if c_target > 0 else float("inf"),
+                "cost_norm": _cost_norm(cost, c_target),
             })
     return rows
 

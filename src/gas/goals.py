@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AugmentConfig, OfflineDataset, ReshapeIndex, TransitionBatch, sample_batch
-from .errors import ContractError, NonFiniteError, SchemaError, parsing
-from .nn import Mlp, OptimHyper, OptimState, expectile_weight, read_net_bytes, write_net_bytes
+from .dataset import OfflineDataset, TransitionBatch
+from .errors import ContractError, SchemaError, parsing
+from .nn import Mlp, expectile_weight, layer_sizes, read_net_bytes, write_net_bytes
 
 BUNDLE_MAGIC = b"GASPACK1"
 BUNDLE_VERSION = 1
@@ -89,13 +89,6 @@ def goal_inputs(norm: InputNorm, states: np.ndarray, r_hat, c_hat, t_prime) -> n
     ])
 
 
-def goal_layer_sizes(state_dim: int, n_layers: int, hidden: int, embedding: int) -> list:
-    """input -> embedding -> hidden x (n_layers - 2) -> scalar output."""
-    if n_layers < 2:
-        raise ContractError(f"need at least 2 weight layers, got {n_layers}")
-    return [state_dim + 3, embedding] + [hidden] * (n_layers - 2) + [1]
-
-
 @dataclass
 class GoalNets:
     reward_net: Mlp
@@ -106,15 +99,12 @@ class GoalNets:
     def create(cls, norm: InputNorm, state_dim: int, n_layers: int, hidden: int,
                embedding: int, rng_reward: np.random.Generator,
                rng_cost: np.random.Generator) -> "GoalNets":
-        sizes = goal_layer_sizes(state_dim, n_layers, hidden, embedding)
+        sizes = layer_sizes(state_dim + 3, 1, n_layers, hidden, embedding)
         return cls(Mlp.init(sizes, rng_reward), Mlp.init(sizes, rng_cost), norm)
 
     def values(self, states, r_hat, c_hat, t_prime) -> tuple[np.ndarray, np.ndarray]:
         z = goal_inputs(self.norm, states, r_hat, c_hat, t_prime)
         return self.reward_net.forward(z)[:, 0], self.cost_net.forward(z)[:, 0]
-
-    def copy(self) -> "GoalNets":
-        return GoalNets(self.reward_net.copy(), self.cost_net.copy(), self.norm)
 
 
 @dataclass
@@ -126,21 +116,13 @@ class AdvantagePair:
     v_c: np.ndarray
 
 
-def compute_advantages(batch: TransitionBatch, nets: GoalNets) -> AdvantagePair:
-    """A_R = 1(V^C < c_hat) * r_seg - V^R and A_C = c_seg - V^C.
-
-    The feasibility indicator uses the current cost net's output and is a
-    constant of the iterate; ties (V^C == c_hat) count as infeasible.
-    """
-    v_r, v_c = nets.values(batch.states, batch.r_hat, batch.c_hat, batch.t_prime)
-    feasible = v_c < batch.c_hat
-    a_r = feasible * batch.r_seg - v_r
-    a_c = batch.c_seg - v_c
-    return AdvantagePair(a_r, a_c, feasible, v_r, v_c)
-
-
 def goal_loss(batch: TransitionBatch, nets: GoalNets, alpha: float):
     """Expectile losses and gradients for both goal nets on one batch.
+
+    The advantages are A_R = 1(V^C < c_hat) * r_seg - V^R and
+    A_C = c_seg - V^C. The feasibility indicator uses the current cost net's
+    output and is a constant of the iterate; ties (V^C == c_hat) count as
+    infeasible.
 
     Returns (l_r, l_c, grads_reward, grads_cost, adv) where grads are
     (d_weights, d_biases) pairs and adv carries the frozen advantage
@@ -167,38 +149,6 @@ def goal_loss(batch: TransitionBatch, nets: GoalNets, alpha: float):
     grads_c = nets.cost_net.backward(cache_c, upstream_c)
     adv = AdvantagePair(a_r, a_c, feasible, v_r, v_c)
     return l_r, l_c, grads_r, grads_c, adv
-
-
-def train_goals(dataset: OfflineDataset, reshape: "ReshapeIndex | None",
-                cfg: AugmentConfig, nets: GoalNets, optim_r: OptimState,
-                optim_c: OptimState, iterations: int, alpha: float,
-                batch_size: int, rng_batch: np.random.Generator,
-                rng_relabel: np.random.Generator, log_every: int = 100) -> list:
-    """Goal-only training loop; returns [(iteration, l_r, l_c)] history rows."""
-    history = []
-    for it in range(1, iterations + 1):
-        batch = sample_batch(dataset, reshape, cfg, batch_size, rng_batch, rng_relabel)
-        l_r, l_c, grads_r, grads_c, _ = goal_loss(batch, nets, alpha)
-        if not (np.isfinite(l_r) and np.isfinite(l_c)):
-            raise NonFiniteError(_diagnose(it, batch, l_r=l_r, l_c=l_c))
-        optim_r.apply(nets.reward_net, *grads_r)
-        optim_c.apply(nets.cost_net, *grads_c)
-        if it % log_every == 0:
-            history.append((it, l_r, l_c))
-    return history
-
-
-def _diagnose(iteration: int, batch: TransitionBatch, **losses) -> str:
-    stats = {
-        "iteration": iteration,
-        "losses": {k: repr(v) for k, v in losses.items()},
-        "r_seg": [float(batch.r_seg.min()), float(batch.r_seg.max())],
-        "c_seg": [float(batch.c_seg.min()), float(batch.c_seg.max())],
-        "r_hat": [float(batch.r_hat.min()), float(batch.r_hat.max())],
-        "c_hat": [float(batch.c_hat.min()), float(batch.c_hat.max())],
-        "state_nan": int(np.isnan(batch.states).sum()),
-    }
-    return f"non-finite loss; offending batch: {json.dumps(stats, sort_keys=True)}"
 
 
 # -- checkpoint bundles -------------------------------------------------------

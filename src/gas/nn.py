@@ -3,8 +3,8 @@
 Everything is double-precision numpy: ReLU hidden layers, identity output,
 an adaptive-moment optimizer with global gradient-norm clipping and
 decoupled weight decay, the asymmetric-squared (expectile) loss primitive,
-a central-finite-difference gradient checker, and a binary checkpoint
-format (magic ``GASNET1\\0``).
+a central-finite-difference gradient checker, and the binary net format
+(magic ``GASNET1\\0``) of ``write_net_bytes``/``read_net_bytes``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,13 @@ from .errors import ContractError, NonFiniteError, SchemaError, parsing
 
 NET_MAGIC = b"GASNET1\x00"
 NET_VERSION = 1
+
+
+def layer_sizes(n_in: int, n_out: int, n_layers: int, hidden: int, embedding: int) -> list:
+    """n_in -> embedding -> hidden x (n_layers - 2) -> n_out."""
+    if n_layers < 2:
+        raise ContractError(f"need at least 2 weight layers, got {n_layers}")
+    return [n_in, embedding] + [hidden] * (n_layers - 2) + [n_out]
 
 
 class Mlp:
@@ -44,10 +51,6 @@ class Mlp:
     @property
     def n_layers(self) -> int:
         return len(self.weights)
-
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, _ = self.forward_cached(x)
@@ -101,11 +104,7 @@ class Mlp:
     # -- flat views used by the checker and the tests --------------------
 
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return flatten_grads(self.weights, self.biases)
 
     def set_flat(self, flat: np.ndarray) -> None:
         i = 0
@@ -207,7 +206,7 @@ def expectile_term(u, alpha: float):
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must be in (0, 1), got {alpha}")
     u = np.asarray(u, dtype=np.float64)
-    w = np.abs(alpha - (u < 0.0))
+    w = expectile_weight(u, alpha)
     return w * u * u, 2.0 * w * u
 
 
@@ -239,7 +238,10 @@ def grad_check(f: Callable[[np.ndarray], float], x: np.ndarray,
     """Worst relative error of ``analytic`` vs central differences of ``f``.
 
     For large parameter vectors a random subsample of at least 200
-    coordinates is checked. The denominator is max(|analytic|, |numeric|, 1e-8).
+    coordinates is checked. Each f(x +/- h) is exact only to eps*|f|, so the
+    difference quotient can be off by its round-off eps*max(|f(x+h)|, |f(x-h)|)/h;
+    that is subtracted from |analytic - numeric| (floored at 0) before
+    dividing by max(|analytic|, |numeric|, 1e-8).
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -249,23 +251,22 @@ def grad_check(f: Callable[[np.ndarray], float], x: np.ndarray,
         if rng is None:
             rng = np.random.default_rng(0)
         coords = rng.choice(n, size=max(200, max_coords), replace=False)
+    eps = np.finfo(np.float64).eps
     worst = 0.0
     for i in coords:
         xp = x.copy()
         xp[i] += step
         xm = x.copy()
         xm[i] -= step
-        numeric = (f(xp) - f(xm)) / (2.0 * step)
+        f_plus, f_minus = f(xp), f(xm)
+        numeric = (f_plus - f_minus) / (2.0 * step)
+        round_off = eps * max(abs(f_plus), abs(f_minus)) / step
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic[i] - numeric) / denom)
+        worst = max(worst, max(abs(analytic[i] - numeric) - round_off, 0.0) / denom)
     return worst
 
 
 # -- serialization -----------------------------------------------------------
-
-
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def _read_array(fh, shape) -> np.ndarray:
@@ -276,63 +277,9 @@ def _read_array(fh, shape) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def save_net(path, net: Mlp, optim: "OptimState | None" = None) -> None:
-    """Write a net (optionally with optimizer state) to ``path``."""
-    with open(path, "wb") as fh:
-        fh.write(NET_MAGIC)
-        fh.write(struct.pack("<II", NET_VERSION, len(net.layer_sizes)))
-        fh.write(struct.pack(f"<{len(net.layer_sizes)}I", *net.layer_sizes))
-        for w, b in zip(net.weights, net.biases):
-            _write_array(fh, w)
-            _write_array(fh, b)
-        if optim is None:
-            fh.write(struct.pack("<I", 0))
-        else:
-            fh.write(struct.pack("<I", 1))
-            h = optim.hyper
-            fh.write(struct.pack("<Q", optim.step_count))
-            fh.write(struct.pack("<6d", h.learning_rate, h.beta1, h.beta2,
-                                 h.eps, h.weight_decay, h.grad_clip_norm))
-            for m in optim.m_weights + optim.m_biases + optim.v_weights + optim.v_biases:
-                _write_array(fh, m)
-
-
-def load_net(path):
-    """Read a net back; returns (net, optim_or_None). Lossless round trip."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return read_net(io.BytesIO(data))
-
-
-def read_net(fh):
-    """Parse one net from a binary stream; a corrupt stream raises SchemaError."""
-    with parsing("net checkpoint"):
-        magic = fh.read(8)
-        if magic != NET_MAGIC:
-            raise SchemaError(f"bad checkpoint magic {magic!r}, expected {NET_MAGIC!r}")
-        version, n_sizes = struct.unpack("<II", fh.read(8))
-        if version != NET_VERSION:
-            raise SchemaError(f"unsupported checkpoint version {version}, expected {NET_VERSION}")
-        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
-        weights, biases = [], []
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(_read_array(fh, (n_in, n_out)))
-            biases.append(_read_array(fh, (n_out,)))
-        net = Mlp(sizes, weights, biases)
-        (has_optim,) = struct.unpack("<I", fh.read(4))
-        optim = None
-        if has_optim:
-            (step_count,) = struct.unpack("<Q", fh.read(8))
-            vals = struct.unpack("<6d", fh.read(48))
-            optim = OptimState(net, OptimHyper(*vals))
-            optim.step_count = step_count
-            for group in (optim.m_weights, optim.m_biases, optim.v_weights, optim.v_biases):
-                for i, arr in enumerate(group):
-                    group[i] = _read_array(fh, arr.shape)
-        return net, optim
-
-
 def write_net_bytes(net: Mlp) -> bytes:
+    """Magic, version, layer sizes, each layer's f64 weights and biases, and
+    an optimizer-state flag that is always 0 (checkpoints carry parameters only)."""
     buf = io.BytesIO()
     buf.write(NET_MAGIC)
     buf.write(struct.pack("<II", NET_VERSION, len(net.layer_sizes)))
@@ -345,5 +292,21 @@ def write_net_bytes(net: Mlp) -> bytes:
 
 
 def read_net_bytes(data: bytes) -> Mlp:
-    net, _ = read_net(io.BytesIO(data))
-    return net
+    """Parse one net; corrupt bytes or a set optimizer flag raise SchemaError."""
+    fh = io.BytesIO(data)
+    with parsing("net checkpoint"):
+        magic = fh.read(8)
+        if magic != NET_MAGIC:
+            raise SchemaError(f"bad checkpoint magic {magic!r}, expected {NET_MAGIC!r}")
+        version, n_sizes = struct.unpack("<II", fh.read(8))
+        if version != NET_VERSION:
+            raise SchemaError(f"unsupported checkpoint version {version}, expected {NET_VERSION}")
+        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
+        weights, biases = [], []
+        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+            weights.append(_read_array(fh, (n_in, n_out)))
+            biases.append(_read_array(fh, (n_out,)))
+        (has_optim,) = struct.unpack("<I", fh.read(4))
+        if has_optim:
+            raise SchemaError("net checkpoint carries optimizer state, which is not supported")
+        return Mlp(sizes, weights, biases)

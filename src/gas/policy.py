@@ -16,32 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AugmentConfig, OfflineDataset, ReshapeIndex, TransitionBatch, sample_batch
-from .errors import ContractError, NonFiniteError, SchemaError, parsing
-from .goals import GoalNets, InputNorm, goal_inputs, read_bundle, write_bundle, _diagnose
-from .nn import Mlp, OptimState, expectile_weight
-
-
-def policy_layer_sizes(state_dim: int, action_dim: int, n_layers: int,
-                       hidden: int, embedding: int) -> list:
-    if n_layers < 2:
-        raise ContractError(f"need at least 2 weight layers, got {n_layers}")
-    return [state_dim + 5, embedding] + [hidden] * (n_layers - 2) + [action_dim]
+from .dataset import TransitionBatch
+from .errors import ContractError, SchemaError, parsing
+from .goals import AdvantagePair, GoalNets, InputNorm, goal_inputs, read_bundle, write_bundle
+from .nn import Mlp, expectile_weight, layer_sizes
 
 
 def policy_inputs(norm: InputNorm, states, r_hat, c_hat, v_r, v_c, t_prime) -> np.ndarray:
     """[normalized state, r_hat/rs, c_hat/cs, V^R/rs, V^C/cs, t'/T]."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    cols = [np.asarray(v, dtype=np.float64).reshape(-1)
-            for v in (r_hat, c_hat, v_r, v_c, t_prime)]
-    return np.column_stack([
-        norm.normalize_states(states),
-        cols[0] / norm.r_scale,
-        cols[1] / norm.c_scale,
-        cols[2] / norm.r_scale,
-        cols[3] / norm.c_scale,
-        cols[4] / norm.horizon,
-    ])
+    z = goal_inputs(norm, states, r_hat, c_hat, t_prime)
+    v_r = np.asarray(v_r, dtype=np.float64).reshape(-1) / norm.r_scale
+    v_c = np.asarray(v_c, dtype=np.float64).reshape(-1) / norm.c_scale
+    return np.column_stack([z[:, :-1], v_r, v_c, z[:, -1]])
 
 
 @dataclass
@@ -53,7 +39,7 @@ class PolicyNet:
     @classmethod
     def create(cls, norm: InputNorm, state_dim: int, action_dim: int, n_layers: int,
                hidden: int, embedding: int, rng: np.random.Generator) -> "PolicyNet":
-        sizes = policy_layer_sizes(state_dim, action_dim, n_layers, hidden, embedding)
+        sizes = layer_sizes(state_dim + 5, action_dim, n_layers, hidden, embedding)
         net = Mlp.init(sizes, rng)
         # zero output layer: the policy starts at the neutral action, and
         # regions the constrained regression never weights stay near it
@@ -64,24 +50,17 @@ class PolicyNet:
         z = policy_inputs(self.norm, states, r_hat, c_hat, v_r, v_c, t_prime)
         return np.tanh(self.net.forward(z))
 
-    def copy(self) -> "PolicyNet":
-        return PolicyNet(self.net.copy(), self.norm, self.action_dim)
-
 
 def policy_loss(batch: TransitionBatch, nets: GoalNets, pol: PolicyNet, alpha: float,
-                adv=None):
+                adv: AdvantagePair):
     """Constrained AWR loss and gradients (into the policy net only).
 
-    ``adv`` may carry precomputed (a_r, feasible, v_r, v_c) from the same
-    batch and iterate; otherwise they are recomputed with the frozen goal
-    nets. Returns (l_pi, grads, weights).
+    ``adv`` is what ``goal_loss`` returned for the same batch and goal nets
+    ``nets``; its (a_r, feasible, v_r, v_c) are constants here.
+    Returns (l_pi, grads, weights).
     """
     if len(batch) == 0:
         raise ContractError("policy loss needs a non-empty batch")
-    if adv is None:
-        from .goals import compute_advantages
-
-        adv = compute_advantages(batch, nets)
     w = adv.feasible * expectile_weight(adv.a_r, alpha)
     z = policy_inputs(pol.norm, batch.states, batch.r_hat, batch.c_hat,
                       adv.v_r, adv.v_c, batch.t_prime)
@@ -130,24 +109,6 @@ def act(pol: PolicyNet, nets: GoalNets, state, tracker: TargetTracker, T: int) -
     v_r, v_c = nets.values(states, r, c, tp)
     actions = pol.forward(states, r, c, v_r, v_c, tp)
     return actions[0] if np.ndim(state) == 1 else actions
-
-
-def train_policy(dataset: OfflineDataset, reshape: "ReshapeIndex | None",
-                 cfg: AugmentConfig, nets: GoalNets, pol: PolicyNet,
-                 optim: OptimState, iterations: int, alpha: float, batch_size: int,
-                 rng_batch: np.random.Generator, rng_relabel: np.random.Generator,
-                 log_every: int = 100) -> list:
-    """Policy-only loop against frozen goal nets; returns [(iter, l_pi)] rows."""
-    history = []
-    for it in range(1, iterations + 1):
-        batch = sample_batch(dataset, reshape, cfg, batch_size, rng_batch, rng_relabel)
-        l_pi, grads, _ = policy_loss(batch, nets, pol, alpha)
-        if not np.isfinite(l_pi):
-            raise NonFiniteError(_diagnose(it, batch, l_pi=l_pi))
-        optim.apply(pol.net, *grads)
-        if it % log_every == 0:
-            history.append((it, l_pi))
-    return history
 
 
 def save_policy(path, pol: PolicyNet, meta: dict) -> None:

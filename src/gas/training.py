@@ -9,18 +9,20 @@ ablation.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import (AugmentConfig, OfflineDataset, ReshapeIndex,
+from .dataset import (AugmentConfig, OfflineDataset, ReshapeIndex, TransitionBatch,
                       build_reshape_index, sample_batch)
 from .errors import ConfigError, NonFiniteError
-from .goals import GoalNets, InputNorm, goal_loss, _diagnose
+from .goals import GoalNets, InputNorm, goal_loss
 from .nn import OptimHyper, OptimState
 from .policy import PolicyNet, policy_loss
 
-SCHEDULES = ("interleaved", "two_phase")
+# each phase of a schedule runs `iterations` steps updating (goal nets, policy)
+SCHEDULES = {"interleaved": ((True, True),), "two_phase": ((True, False), (False, True))}
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,27 @@ def build_models(dataset: OfflineDataset, hyper: NetHyper,
     return nets, pol
 
 
+def _diagnose(iteration: int, batch: TransitionBatch, **losses) -> str:
+    stats = {
+        "iteration": iteration,
+        "losses": {k: repr(v) for k, v in losses.items()},
+        "r_seg": [float(batch.r_seg.min()), float(batch.r_seg.max())],
+        "c_seg": [float(batch.c_seg.min()), float(batch.c_seg.max())],
+        "r_hat": [float(batch.r_hat.min()), float(batch.r_hat.max())],
+        "c_hat": [float(batch.c_hat.min()), float(batch.c_hat.max())],
+        "state_nan": int(np.isnan(batch.states).sum()),
+    }
+    return f"non-finite loss; offending batch: {json.dumps(stats, sort_keys=True)}"
+
+
 def train_gas(dataset: OfflineDataset, cfg: AugmentConfig, hyper: NetHyper,
               alpha: float, iterations: int, streams: dict,
               schedule: str = "interleaved", log_every: int = 100) -> TrainResult:
-    """Run the full training loop; deterministic given the seed streams."""
+    """Run the full training loop; deterministic given the seed streams.
+
+    The learning-rate schedule restarts with each phase of ``schedule``;
+    iteration numbers and history rows run on across phases.
+    """
     if schedule not in SCHEDULES:
         raise ConfigError(f"unknown schedule {schedule!r} (known: {', '.join(SCHEDULES)})")
     reshape = build_reshape_index(dataset, cfg.q_percent, cfg.cost_bins) if cfg.epsilon > 0 else None
@@ -92,36 +111,23 @@ def train_gas(dataset: OfflineDataset, cfg: AugmentConfig, hyper: NetHyper,
     optim_p = OptimState(pol.net, hyper.policy_optim_hyper())
     rng_batch, rng_relabel = streams["batch"], streams["relabel"]
     history = []
-
-    def one_iteration(it: int, update_goals: bool, update_policy: bool,
-                      phase_iter: int, phase_total: int):
-        lr = hyper.lr_at(phase_iter, phase_total)
-        for optim in (optim_r, optim_c, optim_p):
-            optim.hyper.learning_rate = lr
-        batch = sample_batch(dataset, reshape, cfg, hyper.batch_size, rng_batch, rng_relabel)
-        l_r, l_c, grads_r, grads_c, adv = goal_loss(batch, nets, alpha)
-        l_pi, grads_p, _ = policy_loss(batch, nets, pol, alpha, adv=adv)
-        if not (np.isfinite(l_r) and np.isfinite(l_c) and np.isfinite(l_pi)):
-            raise NonFiniteError(_diagnose(it, batch, l_r=l_r, l_c=l_c, l_pi=l_pi))
-        if update_goals:
-            optim_r.apply(nets.reward_net, *grads_r)
-            optim_c.apply(nets.cost_net, *grads_c)
-        if update_policy:
-            optim_p.apply(pol.net, *grads_p)
-        return l_r, l_c, l_pi
-
-    if schedule == "interleaved":
-        for it in range(1, iterations + 1):
-            losses = one_iteration(it, True, True, it, iterations)
+    it = 0
+    for update_goals, update_policy in SCHEDULES[schedule]:
+        for phase_iter in range(1, iterations + 1):
+            it += 1
+            lr = hyper.lr_at(phase_iter, iterations)
+            for optim in (optim_r, optim_c, optim_p):
+                optim.hyper.learning_rate = lr
+            batch = sample_batch(dataset, reshape, cfg, hyper.batch_size, rng_batch, rng_relabel)
+            l_r, l_c, grads_r, grads_c, adv = goal_loss(batch, nets, alpha)
+            l_pi, grads_p, _ = policy_loss(batch, nets, pol, alpha, adv=adv)
+            if not (np.isfinite(l_r) and np.isfinite(l_c) and np.isfinite(l_pi)):
+                raise NonFiniteError(_diagnose(it, batch, l_r=l_r, l_c=l_c, l_pi=l_pi))
+            if update_goals:
+                optim_r.apply(nets.reward_net, *grads_r)
+                optim_c.apply(nets.cost_net, *grads_c)
+            if update_policy:
+                optim_p.apply(pol.net, *grads_p)
             if it % log_every == 0:
-                history.append((it, *losses))
-    else:
-        for it in range(1, iterations + 1):
-            losses = one_iteration(it, True, False, it, iterations)
-            if it % log_every == 0:
-                history.append((it, *losses))
-        for it in range(iterations + 1, 2 * iterations + 1):
-            losses = one_iteration(it, False, True, it - iterations, iterations)
-            if it % log_every == 0:
-                history.append((it, *losses))
+                history.append((it, l_r, l_c, l_pi))
     return TrainResult(nets, pol, history, reshape)

@@ -147,6 +147,23 @@ def test_sweep_writes_reports_with_one_row_per_threshold(tmp_path):
     assert "checkpoint_hash" in payload["metadata"]
 
 
+def test_sweep_of_zero_cost_corpus_passes_with_strict_json(tmp_path):
+    """A corpus without cost has C_max = 0, so every budget is 0; a policy
+    that spends nothing is within it (cost_norm 0), and the report is
+    standard JSON (no NaN)."""
+    zero_cost = ["behavior_mix=slow", "n_traj=10", "iterations=5", "n_layers=2",
+                 "hidden=8", "embedding=8", "batch_size=16"]
+    assert run(tmp_path, "train", *zero_cost) == 0
+    assert run(tmp_path, "sweep", *zero_cost) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads((tmp_path / "sweep.json").read_text(), parse_constant=reject)
+    assert [row["cost_return"] for row in payload["rows"]] == [0.0] * 3
+    assert [row["cost_norm"] for row in payload["rows"]] == [0.0] * 3
+
+
 def test_sweep_reports_reproducible(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import gas
 from gas.dataset import (AugmentConfig, build_reshape_index, export_jsonl,
                          generate_offline_dataset, load_dataset, relabel,
-                         sample_batch, save_dataset, segment_return)
+                         sample_batch, save_dataset)
 from gas.errors import ConfigError, ContractError, SchemaError
 
 
@@ -118,10 +118,10 @@ def test_stitch_mix_spans_costs(stitch_dataset):
 def test_segment_return_examples():
     traj = gas.Trajectory.from_arrays(
         np.zeros((3, 1)), np.zeros((3, 1)), [1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
-    assert segment_return(traj, 0, 2) == (6.0, 1.0)
-    assert segment_return(traj, 1, 1) == (2.0, 1.0)
+    assert traj.segment_return(0, 2) == (6.0, 1.0)
+    assert traj.segment_return(1, 1) == (2.0, 1.0)
     with pytest.raises(ContractError):
-        segment_return(traj, 2, 1)
+        traj.segment_return(2, 1)
 
 
 def test_segment_return_matches_loop_sum(stitch_dataset, rng):
@@ -129,7 +129,7 @@ def test_segment_return_matches_loop_sum(stitch_dataset, rng):
         traj = stitch_dataset.trajectories[int(rng.integers(0, stitch_dataset.n))]
         t = int(rng.integers(0, traj.horizon))
         g = int(rng.integers(t, traj.horizon))
-        r, c = segment_return(traj, t, g)
+        r, c = traj.segment_return(t, g)
         assert r == pytest.approx(np.sum(traj.rewards[t:g + 1]), rel=1e-12, abs=1e-12)
         assert c == np.sum(traj.costs[t:g + 1])
 
@@ -168,11 +168,11 @@ def test_relabel_bounds_property(r_seg, c_seg, delta):
 
 def _toy_dataset(rewards, costs):
     """Dataset stub with prescribed total returns (1-step trajectories padded)."""
-    trajs = []
-    for r, c in zip(rewards, costs):
-        trajs.append(gas.Trajectory.from_arrays(
-            np.zeros((2, 1)), np.zeros((2, 1)), [r, 0.0], [c, 0.0]))
-    return gas.OfflineDataset.from_trajectories(gas.EnvSpec("ChainRun", 2, 1, 1), trajs)
+    n = len(rewards)
+    pad = np.zeros(n)
+    return gas.OfflineDataset.from_arrays(gas.EnvSpec("ChainRun", 2, 1, 1), np.zeros((n, 2, 1)),
+                                          np.zeros((n, 2, 1)), np.column_stack([rewards, pad]),
+                                          np.column_stack([costs, pad]))
 
 
 def test_reshape_q100_keeps_everything():
@@ -220,10 +220,14 @@ def test_reshape_matches_brute_force_cdf(stitch_dataset):
 
 
 def test_reshape_member_pairs_cover_all_timesteps(stitch_dataset):
+    """At epsilon = 1 the draws are exactly the member trajectories' (state, t)
+    pairs, every time step included."""
     idx = build_reshape_index(stitch_dataset, 10.0, 10)
-    pairs = idx.member_ids
-    assert len(pairs) == len(idx.member_traj_ids) * stitch_dataset.horizon
-    assert all(0 <= t < stitch_dataset.horizon for _, t in pairs[:64])
+    batch = sample_batch(stitch_dataset, idx, AugmentConfig(epsilon=1.0), 100_000,
+                         np.random.default_rng(5))
+    pairs = {(stitch_dataset.states[m, t].tobytes(), t)
+             for m in idx.member_traj_ids for t in range(stitch_dataset.horizon)}
+    assert {(s.tobytes(), int(t)) for s, t in zip(batch.states, batch.t)} == pairs
 
 
 # -- batch sampling -----------------------------------------------------------
@@ -238,8 +242,7 @@ def test_sample_batch_epsilon_endpoints(stitch_dataset, rng):
     # every reshaped draw lands on a member trajectory's transitions
     states = stitch_dataset.states
     for i in range(0, 4096, 512):
-        s = batch.sample(i)
-        assert any(np.array_equal(states[m, s.t], s.state) for m in members)
+        assert any(np.array_equal(states[m, batch.t[i]], batch.states[i]) for m in members)
 
 
 @pytest.mark.parametrize("epsilon", [0.25, 0.5])
@@ -259,15 +262,14 @@ def test_sample_batch_segment_consistency(stitch_dataset, rng):
     assert np.all(T - batch.t_prime == batch.gamma - batch.t + 1)
     # spot-check exact segment sums
     for i in range(0, 2048, 97):
-        s = batch.sample(i)
-        traj_states = stitch_dataset.states[:, s.t, :]
+        t = batch.t[i]
         (tid,) = [j for j in range(stitch_dataset.n)
-                  if np.array_equal(traj_states[j], s.state)
-                  and np.array_equal(stitch_dataset.actions[j, s.t], s.action)][:1] or [None]
+                  if np.array_equal(stitch_dataset.states[j, t], batch.states[i])
+                  and np.array_equal(stitch_dataset.actions[j, t], batch.actions[i])][:1] or [None]
         if tid is None:
             continue
         traj = stitch_dataset.trajectories[tid]
-        r, c = traj.segment_return(s.t, s.gamma)
+        r, c = traj.segment_return(t, batch.gamma[i])
         # same (state, action) can occur in several trajectories; only check bounds
         assert batch.r_seg[i] <= stitch_dataset.r_max + 1e-9
         assert batch.c_seg[i] <= batch.c_hat[i] + 1e-12

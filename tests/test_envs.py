@@ -25,8 +25,6 @@ def test_make_env_unknown_name_errors():
 def test_spec_invariants():
     with pytest.raises(ConfigError):
         gas.EnvSpec("ChainRun", 1, 2, 1)
-    with pytest.raises(ConfigError):
-        gas.EnvSpec("ChainRun", 32, 2, 1, discount=0.99)
 
 
 def test_reset_states(chain_env):

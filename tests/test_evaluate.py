@@ -40,6 +40,20 @@ def test_normalization_identities(chain_env, stitch_dataset, models):
         assert row["threshold_cost"] == row["threshold_frac"] * stitch_dataset.c_max
 
 
+def test_zero_budget_cost_norm(chain_env, stitch_dataset, models):
+    """With C_max = 0 every budget L is 0: cost_norm is 0 for a rollout that
+    spends nothing and inf for one that spends, in both sweeps."""
+    nets, pol = models
+    spender = PolicyNet(pol.net.copy(), pol.norm, pol.action_dim)
+    spender.net.biases[-1][...] = 1.0  # action tanh(1) > 0: every step costs
+    for policy, expected in ((pol, 0.0), (spender, float("inf"))):
+        report = evaluate(policy, nets, chain_env, EvalConfig((0.2, 0.5)),
+                          stitch_dataset.r_max, 0.0)
+        rows = robustness_sweep(policy, nets, chain_env, 0.2, [5.0, 10.0],
+                                stitch_dataset.r_max, 0.0)
+        assert [row["cost_norm"] for row in report.rows + rows] == [expected] * 4
+
+
 def _assert_rows_match_run_episode(env, pol, nets, report):
     """Each batched row equals the single rollout of its point: costs exactly,
     rewards up to the reassociation of a B-row matmul."""

@@ -17,7 +17,7 @@ import gas
 from gas.config import seed_streams
 from gas.errors import SchemaError
 from gas.goals import GoalNets, InputNorm, load_goals, save_goals
-from gas.nn import Mlp, OptimHyper, OptimState, load_net, save_net
+from gas.nn import Mlp, read_net_bytes, write_net_bytes
 from gas.policy import PolicyNet, load_policy, save_policy
 
 
@@ -32,9 +32,7 @@ def _valid_files(root: Path) -> dict:
     meta = {"env_name": "ChainRun", "r_max": data.r_max, "c_max": data.c_max}
     save_goals(root / "goals.ckpt", nets, meta)
     save_policy(root / "policy.ckpt", pol, meta)
-    net = Mlp.init([3, 2], streams["init_reward"])
-    save_net(root / "net.bin", net, OptimState(net, OptimHyper()))
-    return {"net": (root / "net.bin").read_bytes(),
+    return {"net": write_net_bytes(Mlp.init([3, 2], streams["init_reward"])),
             "goals": (root / "goals.ckpt").read_bytes(),
             "policy": (root / "policy.ckpt").read_bytes(),
             "dataset": (root / "data.gasdset").read_bytes()}
@@ -43,8 +41,8 @@ def _valid_files(root: Path) -> dict:
 _TMP = tempfile.TemporaryDirectory()
 _ROOT = Path(_TMP.name)
 VALID = _valid_files(_ROOT)
-LOADERS = {"net": load_net, "goals": load_goals, "policy": load_policy,
-           "dataset": gas.load_dataset}
+LOADERS = {"net": lambda path: read_net_bytes(path.read_bytes()), "goals": load_goals,
+           "policy": load_policy, "dataset": gas.load_dataset}
 
 
 def _write(kind: str, blob: bytes) -> Path:
@@ -93,4 +91,4 @@ def test_net_header_overflowing_sizes_is_schema_error():
     """Layer sizes whose product overflows int64 are a short read, not a crash."""
     blob = gas.nn.NET_MAGIC + struct.pack("<II", 1, 2) + struct.pack("<2I", 2**32 - 1, 2**32 - 1)
     with pytest.raises(SchemaError):
-        load_net(_write("net", blob))
+        LOADERS["net"](_write("net", blob))

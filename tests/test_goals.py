@@ -4,9 +4,8 @@ import pytest
 import gas
 from gas.dataset import AugmentConfig, sample_batch
 from gas.errors import ContractError
-from gas.goals import (GoalNets, InputNorm, compute_advantages, goal_inputs,
-                       goal_loss, load_goals, save_goals, train_goals)
-from gas.nn import Mlp, OptimHyper, OptimState, flatten_grads, grad_check
+from gas.goals import GoalNets, InputNorm, goal_inputs, goal_loss, load_goals, save_goals
+from gas.nn import flatten_grads, grad_check
 from gas.config import seed_streams
 
 
@@ -68,7 +67,7 @@ def test_advantages_infeasible_zeroes_return_term(stitch_dataset):
     batch = _batch(stitch_dataset)
     # cost net predicts above every possible c_hat: nothing is feasible
     nets = _constant_nets(stitch_dataset, v_r=2.0, v_c=stitch_dataset.c_max + 5)
-    adv = compute_advantages(batch, nets)
+    *_, adv = goal_loss(batch, nets, 0.8)
     assert not adv.feasible.any()
     assert np.allclose(adv.a_r, -2.0)
 
@@ -77,7 +76,7 @@ def test_advantages_fixed_points(stitch_dataset):
     batch = _batch(stitch_dataset)
     # v_c = -1 < c_hat always: feasible; v_r = 0 so a_r = r_seg
     nets = _constant_nets(stitch_dataset, v_r=0.0, v_c=-1.0)
-    adv = compute_advantages(batch, nets)
+    *_, adv = goal_loss(batch, nets, 0.8)
     assert adv.feasible.all()
     assert np.allclose(adv.a_r, batch.r_seg)
     assert np.allclose(adv.a_c, batch.c_seg + 1.0)
@@ -86,7 +85,7 @@ def test_advantages_fixed_points(stitch_dataset):
 def test_advantage_tie_counts_infeasible(stitch_dataset):
     batch = _batch(stitch_dataset)
     nets = _constant_nets(stitch_dataset, v_r=0.0, v_c=0.0)
-    adv = compute_advantages(batch, nets)
+    *_, adv = goal_loss(batch, nets, 0.8)
     ties = batch.c_hat == 0.0
     assert not adv.feasible[ties].any()
 
@@ -187,36 +186,6 @@ def test_goal_gradients_match_finite_differences(stitch_dataset):
     errors = [_goal_fd_errors(stitch_dataset, bs, ns)
               for bs, ns in ((11, 7), (23, 29), (5, 19))]
     assert min(max(er, ec) for er, ec in errors) < 1e-4
-
-
-# -- training loop ------------------------------------------------------------
-
-def test_train_goals_zero_iterations_is_noop(stitch_dataset):
-    nets = _nets(stitch_dataset)
-    before_r = nets.reward_net.get_flat().copy()
-    streams = seed_streams(0)
-    idx = gas.build_reshape_index(stitch_dataset, 10.0, 10)
-    optim = OptimState(nets.reward_net, OptimHyper())
-    optim_c = OptimState(nets.cost_net, OptimHyper())
-    history = train_goals(stitch_dataset, idx, AugmentConfig(), nets, optim,
-                          optim_c, 0, 0.8, 64, streams["batch"], streams["relabel"])
-    assert history == []
-    assert np.array_equal(nets.reward_net.get_flat(), before_r)
-
-
-def test_train_goals_deterministic(stitch_dataset):
-    def run():
-        streams = seed_streams(4)
-        nets = GoalNets.create(_norm(stitch_dataset), 2, 3, 16, 16,
-                               streams["init_reward"], streams["init_cost"])
-        idx = gas.build_reshape_index(stitch_dataset, 10.0, 10)
-        o_r = OptimState(nets.reward_net, OptimHyper(learning_rate=1e-3))
-        o_c = OptimState(nets.cost_net, OptimHyper(learning_rate=1e-3))
-        train_goals(stitch_dataset, idx, AugmentConfig(), nets, o_r, o_c, 50,
-                    0.8, 64, streams["batch"], streams["relabel"])
-        return nets.reward_net.get_flat()
-
-    assert np.array_equal(run(), run())
 
 
 # -- checkpoint bundle ----------------------------------------------------------

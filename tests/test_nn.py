@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import gas
 from gas.errors import ContractError, NonFiniteError, SchemaError
 from gas.nn import (Mlp, OptimHyper, OptimState, expectile_term, flatten_grads,
-                    grad_check, load_net, save_net, solve_scalar_expectile)
+                    grad_check, read_net_bytes, solve_scalar_expectile, write_net_bytes)
 
 
 def _net(sizes, seed=0):
@@ -93,6 +93,26 @@ def test_grad_check_detects_wrong_gradient():
 
     x0 = np.array([1.0, 2.0])
     err = grad_check(f, x0, 2 * 2 * x0, step=1e-5)  # doubled on purpose
+    assert err > 0.3
+    # 0.1% wrong: far above the round-off of f ~ 5, so the full error shows
+    err = grad_check(f, x0, 1.001 * 2 * x0, step=1e-5)
+    assert err == pytest.approx(1e-3, rel=1e-3)
+
+
+def test_grad_check_discounts_central_difference_round_off():
+    """A small slope on a large f: the difference quotient's round-off
+    (eps * |f| / h ~ 2e-8) is 2% of g = 1e-6, far above the 1e-4 bound,
+    yet the analytic gradient is exact."""
+    g = 1e-6
+
+    def f(x):
+        return float(1e3 + g * np.sum(x))
+
+    x0 = np.array([0.1, 0.2, 0.3])
+    err = grad_check(f, x0, np.full(3, g), step=1e-5)
+    assert err < 1e-4
+    # a gap well above the round-off still shows in full
+    err = grad_check(f, x0, np.full(3, 2 * g), step=1e-5)
     assert err > 0.3
 
 
@@ -214,37 +234,31 @@ def test_init_determinism():
 
 # -- serialization -----------------------------------------------------------
 
-def test_net_round_trip(tmp_path):
+def test_net_round_trip():
     net = _net([3, 5, 2], seed=4)
-    opt = OptimState(net, OptimHyper(learning_rate=0.01))
-    grads = ([np.full_like(w, 0.1) for w in net.weights],
-             [np.full_like(b, 0.1) for b in net.biases])
-    opt.apply(net, *grads)
-    path = tmp_path / "net.ckpt"
-    save_net(path, net, opt)
-    loaded, loaded_opt = load_net(path)
+    loaded = read_net_bytes(write_net_bytes(net))
+    assert loaded.layer_sizes == net.layer_sizes
     assert np.array_equal(loaded.get_flat(), net.get_flat())
-    assert loaded_opt.step_count == 1
-    assert np.array_equal(loaded_opt.m_weights[0], opt.m_weights[0])
-    assert np.array_equal(loaded_opt.v_biases[-1], opt.v_biases[-1])
 
 
-def test_net_bad_magic(tmp_path):
-    path = tmp_path / "net.ckpt"
-    net = _net([2, 1])
-    save_net(path, net)
-    data = bytearray(path.read_bytes())
+def test_net_bad_magic():
+    data = bytearray(write_net_bytes(_net([2, 1])))
     data[:8] = b"BADMAGIC"
-    path.write_bytes(bytes(data))
     with pytest.raises(SchemaError, match="magic"):
-        load_net(path)
+        read_net_bytes(bytes(data))
 
 
-def test_net_bad_version(tmp_path):
-    path = tmp_path / "net.ckpt"
-    save_net(path, _net([2, 1]))
-    data = bytearray(path.read_bytes())
+def test_net_bad_version():
+    data = bytearray(write_net_bytes(_net([2, 1])))
     data[8:12] = (99).to_bytes(4, "little")
-    path.write_bytes(bytes(data))
     with pytest.raises(SchemaError, match="version"):
-        load_net(path)
+        read_net_bytes(bytes(data))
+
+
+def test_net_with_optimizer_flag_is_schema_error():
+    """Checkpoints carry parameters only; a blob flagged as holding optimizer
+    state is rejected, not half-read."""
+    data = bytearray(write_net_bytes(_net([2, 1])))
+    data[-4:] = (1).to_bytes(4, "little")
+    with pytest.raises(SchemaError, match="optimizer"):
+        read_net_bytes(bytes(data))

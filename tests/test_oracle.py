@@ -17,10 +17,9 @@ def _tiny_dataset():
     T = 4
     states = np.arange(T, dtype=float).reshape(T, 1)
     actions = np.zeros((T, 1))
-    a = gas.Trajectory.from_arrays(states, actions, [1.0] * T, [1.0] * T)
-    b = gas.Trajectory.from_arrays(states, actions, [0.5] * T, [0.0] * T)
     spec = gas.EnvSpec("ChainRun", T, 1, 1)
-    return gas.OfflineDataset.from_trajectories(spec, [a, b])
+    return gas.OfflineDataset.from_arrays(spec, [states, states], [actions, actions],
+                                          [[1.0] * T, [0.5] * T], [[1.0] * T, [0.0] * T])
 
 
 def test_oracle_hand_case_budget_binds():
@@ -54,9 +53,9 @@ def test_oracle_tie_breaks_to_smallest_cost():
     states = np.zeros((T, 1))
     actions = np.zeros((T, 1))
     spec = gas.EnvSpec("ChainRun", T, 1, 1)
-    cheap = gas.Trajectory.from_arrays(states, actions, [2.0, 0, 0], [0, 0, 0])
-    pricey = gas.Trajectory.from_arrays(states, actions, [2.0, 0, 0], [1, 0, 0])
-    data = gas.OfflineDataset.from_trajectories(spec, [cheap, pricey])
+    # a cheap and a pricey trajectory reach the same reward
+    data = gas.OfflineDataset.from_arrays(spec, [states, states], [actions, actions],
+                                          [[2.0, 0, 0], [2.0, 0, 0]], [[0, 0, 0], [1, 0, 0]])
     ans = brute_force_goal(data, ProbeQuery(np.zeros(1), 0, 5.0, np.array([0.1])))
     assert ans.v_r_star == 2.0 and ans.v_c_star == 0.0
 

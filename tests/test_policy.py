@@ -4,10 +4,10 @@ import pytest
 import gas
 from gas.dataset import AugmentConfig, sample_batch
 from gas.errors import ContractError
-from gas.goals import GoalNets, InputNorm, compute_advantages
+from gas.goals import GoalNets, InputNorm, goal_loss
 from gas.nn import OptimHyper, OptimState, flatten_grads, grad_check
 from gas.policy import (PolicyNet, TargetTracker, act, load_policy, policy_inputs,
-                        policy_loss, save_policy, train_policy, update_tracker)
+                        policy_loss, save_policy, update_tracker)
 from gas.config import seed_streams
 
 
@@ -34,8 +34,8 @@ def test_policy_weights_match_recomputation(stitch_dataset):
     batch = _batch(stitch_dataset)
     nets, pol = _models(stitch_dataset, seed=2)
     alpha = 0.8
-    _, _, w = policy_loss(batch, nets, pol, alpha)
-    adv = compute_advantages(batch, nets)
+    *_, adv = goal_loss(batch, nets, alpha)
+    _, _, w = policy_loss(batch, nets, pol, alpha, adv)
     expected = adv.feasible * np.abs(alpha - (adv.a_r < 0))
     assert np.array_equal(w, expected)
     feasible_pos = adv.feasible & (adv.a_r >= 0)
@@ -50,7 +50,7 @@ def test_policy_infeasible_samples_have_zero_gradient(stitch_dataset):
     nets, pol = _models(stitch_dataset, seed=3)
     # force some infeasibility by biasing the cost net upward
     nets.cost_net.biases[-1][...] = 5.0
-    adv = compute_advantages(batch, nets)
+    *_, adv = goal_loss(batch, nets, 0.8)
     if adv.feasible.all():
         pytest.skip("no infeasible samples drawn")
     _, grads, w = policy_loss(batch, nets, pol, 0.8, adv=adv)
@@ -72,7 +72,7 @@ def test_policy_gradients_match_finite_differences(stitch_dataset):
     batch = _batch(stitch_dataset, n=64, seed=5)
     nets, pol = _models(stitch_dataset, hidden=12, seed=5)
     alpha = 0.8
-    adv = compute_advantages(batch, nets)
+    *_, adv = goal_loss(batch, nets, 0.8)
     _, grads, w = policy_loss(batch, nets, pol, alpha, adv=adv)
 
     def loss_at(flat):
@@ -144,20 +144,9 @@ def test_act_past_horizon_rejected(stitch_dataset):
 
 # -- training ---------------------------------------------------------------------
 
-def test_train_policy_zero_iterations_noop(stitch_dataset):
-    nets, pol = _models(stitch_dataset)
-    before = pol.net.get_flat().copy()
-    streams = seed_streams(0)
-    idx = gas.build_reshape_index(stitch_dataset, 10.0, 10)
-    optim = OptimState(pol.net, OptimHyper())
-    history = train_policy(stitch_dataset, idx, AugmentConfig(), nets, pol, optim,
-                           0, 0.8, 64, streams["batch"], streams["relabel"])
-    assert history == []
-    assert np.array_equal(pol.net.get_flat(), before)
-
-
 def test_train_policy_regresses_to_constant_action(chain_env):
-    """On a dataset with one action everywhere, the policy converges to it."""
+    """On a dataset with one action everywhere, the policy converges to it
+    when trained against frozen goal nets."""
     data = gas.generate_offline_dataset(chain_env, gas.slow_only_mix(-0.2), 20, seed=6)
     streams = seed_streams(6)
     norm = InputNorm.fit(data)
@@ -172,11 +161,14 @@ def test_train_policy_regresses_to_constant_action(chain_env):
     nets.cost_net.biases[-1][...] = -1.0
     pol = PolicyNet.create(norm, 2, 1, 3, 32, 32, streams["init_policy"])
     optim = OptimState(pol.net, OptimHyper(learning_rate=1e-3, weight_decay=0.0))
-    train_policy(data, None, AugmentConfig(epsilon=0.0), nets, pol, optim,
-                 5000, 0.8, 128, streams["batch"], streams["relabel"])
-    rng = np.random.default_rng(0)
-    batch = sample_batch(data, None, AugmentConfig(epsilon=0.0), 512, rng)
-    adv = compute_advantages(batch, nets)
+    cfg = AugmentConfig(epsilon=0.0)
+    for _ in range(5000):
+        batch = sample_batch(data, None, cfg, 128, streams["batch"], streams["relabel"])
+        *_, adv = goal_loss(batch, nets, 0.8)
+        _, grads, _ = policy_loss(batch, nets, pol, 0.8, adv)
+        optim.apply(pol.net, *grads)
+    batch = sample_batch(data, None, cfg, 512, np.random.default_rng(0))
+    *_, adv = goal_loss(batch, nets, 0.8)
     actions = pol.forward(batch.states, batch.r_hat, batch.c_hat, adv.v_r,
                           adv.v_c, batch.t_prime)
     assert np.max(np.abs(actions - (-0.2))) < 0.05

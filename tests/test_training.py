@@ -24,6 +24,17 @@ def test_train_gas_deterministic(stitch_dataset):
     assert a[3] == b[3]
 
 
+@pytest.mark.parametrize("schedule", ["interleaved", "two_phase"])
+def test_train_gas_zero_iterations_is_initialization(stitch_dataset, schedule):
+    res = train_gas(stitch_dataset, AugmentConfig(), SMALL, 0.8, 0, seed_streams(3),
+                    schedule=schedule)
+    nets, pol = build_models(stitch_dataset, SMALL, seed_streams(3))
+    assert res.history == []
+    for trained, fresh in ((res.nets.reward_net, nets.reward_net),
+                           (res.nets.cost_net, nets.cost_net), (res.pol.net, pol.net)):
+        assert np.array_equal(trained.get_flat(), fresh.get_flat())
+
+
 def test_train_gas_history_rows(stitch_dataset):
     res = train_gas(stitch_dataset, AugmentConfig(), SMALL, 0.8, 250,
                     seed_streams(0), log_every=100)
