@@ -2,7 +2,8 @@
 
 Metrics: reward_norm = R_pi / R_max (dataset maximum reward return) and
 cost_norm = C_pi / L where L = threshold_fraction * C_max; at L = 0 (a
-corpus without cost) cost_norm is 0 for C_pi = 0 and inf otherwise. A run
+corpus without cost) cost_norm is 0 for C_pi = 0 and inf otherwise, which
+the JSON reports write as null. A run
 is "safe" at a threshold when cost_norm <= 1.1 (finite-sample tolerance
 above the nominal 1.0 boundary).
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,14 +89,27 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {"rows": self.rows, "summary": self.summary, "metadata": self.metadata}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        """Standard JSON: an infinite value (a zero budget met by a positive
+        cost) is written as null; a NaN raises ValueError."""
+        payload = _inf_to_null({"rows": self.rows, "summary": self.summary,
+                                "metadata": self.metadata})
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         lines = [",".join(EVAL_COLUMNS)]
         for row in self.rows:
             lines.append(",".join(repr(row[c]) for c in EVAL_COLUMNS))
         return "\n".join(lines) + "\n"
+
+
+def _inf_to_null(value):
+    if isinstance(value, float) and math.isinf(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _inf_to_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_inf_to_null(v) for v in value]
+    return value
 
 
 def _cost_norm(cost: float, budget: float) -> float:

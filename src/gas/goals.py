@@ -22,7 +22,8 @@ import numpy as np
 
 from .dataset import OfflineDataset, TransitionBatch
 from .errors import ContractError, SchemaError, parsing
-from .nn import Mlp, expectile_weight, layer_sizes, read_net_bytes, write_net_bytes
+from .nn import (Mlp, NetBuffers, expectile_weight, layer_sizes, read_net_bytes,
+                 write_net_bytes)
 
 BUNDLE_MAGIC = b"GASPACK1"
 BUNDLE_VERSION = 1
@@ -116,7 +117,8 @@ class AdvantagePair:
     v_c: np.ndarray
 
 
-def goal_loss(batch: TransitionBatch, nets: GoalNets, alpha: float):
+def goal_loss(batch: TransitionBatch, nets: GoalNets, alpha: float, *,
+              buffers: "tuple[NetBuffers, NetBuffers] | None" = None):
     """Expectile losses and gradients for both goal nets on one batch.
 
     The advantages are A_R = 1(V^C < c_hat) * r_seg - V^R and
@@ -126,16 +128,20 @@ def goal_loss(batch: TransitionBatch, nets: GoalNets, alpha: float):
 
     Returns (l_r, l_c, grads_reward, grads_cost, adv) where grads are
     (d_weights, d_biases) pairs and adv carries the frozen advantage
-    quantities reused by the policy loss.
+    quantities reused by the policy loss. ``buffers`` (reward, cost) are
+    what the nets' forward and backward write into; the grads alias them.
+    Without them each call allocates its own.
     """
     if len(batch) == 0:
         raise ContractError("goal loss needs a non-empty batch")
     if not 0.0 < alpha < 1.0:
         raise ContractError(f"alpha must be in (0, 1), got {alpha}")
     z = goal_inputs(nets.norm, batch.states, batch.r_hat, batch.c_hat, batch.t_prime)
-    out_r, cache_r = nets.reward_net.forward_cached(z)
-    out_c, cache_c = nets.cost_net.forward_cached(z)
-    v_r, v_c = out_r[:, 0], out_c[:, 0]
+    bufs_r, bufs_c = buffers or (None, None)
+    out_r, cache_r = nets.reward_net.forward_cached(z, bufs_r)
+    out_c, cache_c = nets.cost_net.forward_cached(z, bufs_c)
+    # copies: adv outlives the buffers' next forward
+    v_r, v_c = out_r[:, 0].copy(), out_c[:, 0].copy()
     feasible = v_c < batch.c_hat
     a_r = feasible * batch.r_seg - v_r
     a_c = batch.c_seg - v_c

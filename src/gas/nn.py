@@ -56,8 +56,14 @@ class Mlp:
         out, _ = self.forward_cached(x)
         return out
 
-    def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping per-layer inputs and pre-activations."""
+    def forward_cached(self, x: np.ndarray, bufs: "NetBuffers | None" = None):
+        """Forward pass keeping the input and every layer's output for ``backward``.
+
+        Each layer's output is written into ``bufs.acts`` (fresh arrays when
+        ``bufs`` is None), so the returned output and cache alias those
+        buffers until the next forward on them. No pre-activation is kept:
+        a ReLU output is > 0 exactly where its pre-activation is.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
@@ -65,41 +71,56 @@ class Mlp:
             raise ContractError(
                 f"input width {x.shape[1]} != expected {self.layer_sizes[0]}"
             )
-        layer_inputs = [x]
-        pre_acts = []
+        if bufs is not None and bufs.acts[0].shape[0] != len(x):
+            raise ContractError(f"{len(x)} rows into buffers for {bufs.acts[0].shape[0]}")
+        outs = [None] * self.n_layers if bufs is None else bufs.acts
+        acts = [x]
         h = x
         last = self.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            pre_acts.append(z)
-            h = z if i == last else np.maximum(z, 0.0)
+        for i, (w, b, out) in enumerate(zip(self.weights, self.biases, outs)):
+            h = np.matmul(h, w, out=out)
+            h += b
             if i != last:
-                layer_inputs.append(h)
-        return h, (layer_inputs, pre_acts)
+                np.maximum(h, 0.0, out=h)
+            acts.append(h)
+        return h, (acts, bufs)
 
     def backward(self, cache, upstream: np.ndarray):
         """Gradients of sum(output * upstream) w.r.t. every parameter.
 
         ReLU subgradient at exactly 0 is 0. Returns (weight grads, bias grads)
-        shaped like the parameters.
+        shaped like the parameters. They are written into the buffers the
+        forward pass was given (fresh ones if it had none) and alias them
+        until the next backward on the same buffers.
         """
-        layer_inputs, pre_acts = cache
+        acts, bufs = cache
         g = np.asarray(upstream, dtype=np.float64)
         if g.ndim == 1:
             g = g[None, :]
-        if g.shape != pre_acts[-1].shape:
+        if g.shape != acts[-1].shape:
             raise ContractError(
-                f"upstream shape {g.shape} != output shape {pre_acts[-1].shape}"
+                f"upstream shape {g.shape} != output shape {acts[-1].shape}"
             )
-        d_weights = [None] * self.n_layers
-        d_biases = [None] * self.n_layers
-        for i in range(self.n_layers - 1, -1, -1):
-            gz = g if i == self.n_layers - 1 else g * (pre_acts[i] > 0.0)
-            d_weights[i] = layer_inputs[i].T @ gz
-            d_biases[i] = gz.sum(axis=0)
+        if bufs is None:
+            (bufs,) = net_buffers([self], len(g))
+        last = self.n_layers - 1
+        for i in range(last, -1, -1):
+            if i != last:
+                # g is this layer's slot of the ping-pong buffers, never `upstream`
+                mask = bufs.masks[i]
+                np.greater(acts[i + 1], 0.0, out=mask)
+                np.multiply(g, mask, out=g)
+            np.matmul(acts[i].T, g, out=bufs.d_weights[i])
+            np.sum(g, axis=0, out=bufs.d_biases[i])
             if i > 0:
-                g = gz @ self.weights[i].T
-        return d_weights, d_biases
+                below, w = bufs.grads[i - 1], self.weights[i]
+                if w.shape[1] == 1:
+                    # a k = 1 product: the broadcast multiply gives the GEMM's bits
+                    np.multiply(g, w[:, 0], out=below)
+                else:
+                    np.matmul(g, w.T, out=below)
+                g = below
+        return bufs.d_weights, bufs.d_biases
 
     # -- flat views used by the checker and the tests --------------------
 
@@ -124,19 +145,41 @@ class Mlp:
         )
 
 
+class NetBuffers:
+    """Arrays one Mlp's ``forward_cached``/``backward`` write into, at one batch size.
+
+    ``acts`` holds each layer's output and ``d_weights``/``d_biases`` the
+    gradients. ``grads`` and ``masks`` are the backprop temporaries: (batch,
+    width) views of two ping-pong buffers and one bool mask. All NetBuffers
+    made by one ``net_buffers`` call share those three arrays.
+    """
+
+    def __init__(self, net: Mlp, batch: int, ping: np.ndarray, pong: np.ndarray,
+                 mask: np.ndarray):
+        sizes = net.layer_sizes
+        last = net.n_layers - 1
+        self.acts = [np.empty((batch, n)) for n in sizes[1:]]
+        self.d_weights = [np.empty_like(w) for w in net.weights]
+        self.d_biases = [np.empty_like(b) for b in net.biases]
+        # grads[i] is the gradient at layer i's output; consecutive layers alternate
+        self.grads = [(ping if (last - 1 - i) % 2 == 0 else pong)[:batch * n].reshape(batch, n)
+                      for i, n in enumerate(sizes[1:-1])]
+        self.masks = [mask[:batch * n].reshape(batch, n) for n in sizes[1:-1]]
+
+
+def net_buffers(nets: Sequence[Mlp], batch: int) -> list:
+    """One NetBuffers per net, all sharing backprop temporaries sized for the widest."""
+    size = batch * max(max(net.layer_sizes[1:-1], default=0) for net in nets)
+    ping, pong, mask = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    return [NetBuffers(net, batch, ping, pong, mask) for net in nets]
+
+
 def flatten_grads(d_weights, d_biases) -> np.ndarray:
     parts = []
     for dw, db in zip(d_weights, d_biases):
         parts.append(dw.ravel())
         parts.append(db.ravel())
     return np.concatenate(parts)
-
-
-def global_grad_norm(d_weights, d_biases) -> float:
-    total = 0.0
-    for g in list(d_weights) + list(d_biases):
-        total += float(np.sum(g * g))
-    return float(np.sqrt(total))
 
 
 @dataclass
@@ -150,7 +193,11 @@ class OptimHyper:
 
 
 class OptimState:
-    """Adaptive-moment state for one Mlp (single-writer)."""
+    """Adaptive-moment state for one Mlp (single-writer).
+
+    ``apply`` computes in two scratch arrays sized for the net's largest
+    parameter, so a step allocates no array.
+    """
 
     def __init__(self, net: Mlp, hyper: OptimHyper):
         self.hyper = hyper
@@ -159,10 +206,19 @@ class OptimState:
         self.m_biases = [np.zeros_like(b) for b in net.biases]
         self.v_weights = [np.zeros_like(w) for w in net.weights]
         self.v_biases = [np.zeros_like(b) for b in net.biases]
+        params = list(net.weights) + list(net.biases)
+        size = max(p.size for p in params)
+        a, b = np.empty(size), np.empty(size)
+        self._scratch = [(a[:p.size].reshape(p.shape), b[:p.size].reshape(p.shape))
+                         for p in params]
 
     def apply(self, net: Mlp, d_weights, d_biases) -> None:
         """One update: clip by global norm, decay weights, then moment step."""
-        norm = global_grad_norm(d_weights, d_biases)
+        grads = list(d_weights) + list(d_biases)
+        total = 0.0
+        for g, (s, _) in zip(grads, self._scratch):
+            total += float(np.sum(np.multiply(g, g, out=s)))
+        norm = float(np.sqrt(total))
         if not np.isfinite(norm):
             raise NonFiniteError(f"non-finite gradient (norm={norm}); step aborted")
         h = self.hyper
@@ -174,18 +230,26 @@ class OptimState:
         bc2 = 1.0 - h.beta2 ** self.step_count
         decay = 1.0 - h.learning_rate * h.weight_decay
         params = list(net.weights) + list(net.biases)
-        grads = list(d_weights) + list(d_biases)
         moments1 = self.m_weights + self.m_biases
         moments2 = self.v_weights + self.v_biases
-        for p, g, m, v in zip(params, grads, moments1, moments2):
+        for p, g, m, v, (s, t) in zip(params, grads, moments1, moments2, self._scratch):
             if decay != 1.0:
                 p *= decay
-            g = g * scale
+            g = np.multiply(g, scale, out=s)
             m *= h.beta1
-            m += (1.0 - h.beta1) * g
+            m += np.multiply(g, 1.0 - h.beta1, out=t)
             v *= h.beta2
-            v += (1.0 - h.beta2) * g * g
-            p -= h.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + h.eps)
+            np.multiply(g, 1.0 - h.beta2, out=t)
+            v += np.multiply(t, g, out=t)
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that expression's
+            # evaluation order, so the bits are the same
+            np.divide(m, bc1, out=s)
+            s *= h.learning_rate
+            np.divide(v, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += h.eps
+            s /= t
+            p -= s
 
 
 # -- expectile primitive --------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import TransitionBatch
 from .errors import ContractError, SchemaError, parsing
 from .goals import AdvantagePair, GoalNets, InputNorm, goal_inputs, read_bundle, write_bundle
-from .nn import Mlp, expectile_weight, layer_sizes
+from .nn import Mlp, NetBuffers, expectile_weight, layer_sizes
 
 
 def policy_inputs(norm: InputNorm, states, r_hat, c_hat, v_r, v_c, t_prime) -> np.ndarray:
@@ -52,19 +52,20 @@ class PolicyNet:
 
 
 def policy_loss(batch: TransitionBatch, nets: GoalNets, pol: PolicyNet, alpha: float,
-                adv: AdvantagePair):
+                adv: AdvantagePair, *, buffers: "NetBuffers | None" = None):
     """Constrained AWR loss and gradients (into the policy net only).
 
     ``adv`` is what ``goal_loss`` returned for the same batch and goal nets
-    ``nets``; its (a_r, feasible, v_r, v_c) are constants here.
-    Returns (l_pi, grads, weights).
+    ``nets``; its (a_r, feasible, v_r, v_c) are constants here. ``buffers``
+    are what the policy net's forward and backward write into, as in
+    ``goal_loss``. Returns (l_pi, grads, weights).
     """
     if len(batch) == 0:
         raise ContractError("policy loss needs a non-empty batch")
     w = adv.feasible * expectile_weight(adv.a_r, alpha)
     z = policy_inputs(pol.norm, batch.states, batch.r_hat, batch.c_hat,
                       adv.v_r, adv.v_c, batch.t_prime)
-    raw, cache = pol.net.forward_cached(z)
+    raw, cache = pol.net.forward_cached(z, buffers)
     actions = np.tanh(raw)
     err = actions - batch.actions
     n = float(len(batch))

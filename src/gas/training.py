@@ -18,7 +18,7 @@ from .dataset import (AugmentConfig, OfflineDataset, ReshapeIndex, TransitionBat
                       build_reshape_index, sample_batch)
 from .errors import ConfigError, NonFiniteError
 from .goals import GoalNets, InputNorm, goal_loss
-from .nn import OptimHyper, OptimState
+from .nn import OptimHyper, OptimState, net_buffers
 from .policy import PolicyNet, policy_loss
 
 # each phase of a schedule runs `iterations` steps updating (goal nets, policy)
@@ -109,6 +109,11 @@ def train_gas(dataset: OfflineDataset, cfg: AugmentConfig, hyper: NetHyper,
     optim_r = OptimState(nets.reward_net, hyper.optim_hyper())
     optim_c = OptimState(nets.cost_net, hyper.optim_hyper())
     optim_p = OptimState(pol.net, hyper.policy_optim_hyper())
+    # the nets' activations, gradients and backprop temporaries, made once per
+    # call and held by no returned object: a caller may keep a TrainResult
+    # while it trains the next one
+    bufs_r, bufs_c, bufs_p = net_buffers([nets.reward_net, nets.cost_net, pol.net],
+                                         hyper.batch_size)
     rng_batch, rng_relabel = streams["batch"], streams["relabel"]
     history = []
     it = 0
@@ -119,8 +124,9 @@ def train_gas(dataset: OfflineDataset, cfg: AugmentConfig, hyper: NetHyper,
             for optim in (optim_r, optim_c, optim_p):
                 optim.hyper.learning_rate = lr
             batch = sample_batch(dataset, reshape, cfg, hyper.batch_size, rng_batch, rng_relabel)
-            l_r, l_c, grads_r, grads_c, adv = goal_loss(batch, nets, alpha)
-            l_pi, grads_p, _ = policy_loss(batch, nets, pol, alpha, adv=adv)
+            l_r, l_c, grads_r, grads_c, adv = goal_loss(batch, nets, alpha,
+                                                        buffers=(bufs_r, bufs_c))
+            l_pi, grads_p, _ = policy_loss(batch, nets, pol, alpha, adv=adv, buffers=bufs_p)
             if not (np.isfinite(l_r) and np.isfinite(l_c) and np.isfinite(l_pi)):
                 raise NonFiniteError(_diagnose(it, batch, l_r=l_r, l_c=l_c, l_pi=l_pi))
             if update_goals:

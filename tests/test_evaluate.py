@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gas.errors import ConfigError, ContractError
 from gas.goals import GoalNets, InputNorm
 from gas.policy import PolicyNet
 from gas.config import seed_streams
+from gas.training import NetHyper, build_models
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,36 @@ def test_zero_budget_cost_norm(chain_env, stitch_dataset, models):
         rows = robustness_sweep(policy, nets, chain_env, 0.2, [5.0, 10.0],
                                 stitch_dataset.r_max, 0.0)
         assert [row["cost_norm"] for row in report.rows + rows] == [expected] * 4
+
+
+def test_infinite_cost_norm_is_null_in_strict_json(chain_env):
+    """A corpus without cost (C_max = 0) and a policy that spends: cost_norm
+    is inf in the report and null in its JSON, which parses without the
+    non-standard Infinity token."""
+    data = gas.generate_offline_dataset(chain_env, gas.slow_only_mix(), 20, seed=2)
+    assert data.c_max == 0.0
+    nets, pol = build_models(data, NetHyper(n_layers=3, hidden=16, embedding=16),
+                             seed_streams(3))
+    pol.net.biases[-1][...] = 1.0  # action tanh(1) > 0: every step costs
+    report = evaluate(pol, nets, chain_env, EvalConfig((0.2, 0.5)), data.r_max, data.c_max)
+    assert [row["cost_norm"] for row in report.rows] == [float("inf")] * 2
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads(report.to_json(), parse_constant=reject)
+    assert [row["cost_norm"] for row in payload["rows"]] == [None, None]
+    assert [s["cost_norm_mean"] for s in payload["summary"]] == [None, None]
+    assert all(row["cost_return"] > 0 for row in payload["rows"])
+
+
+def test_finite_report_json_is_the_plain_encoding(chain_env, stitch_dataset, models):
+    nets, pol = models
+    report = evaluate(pol, nets, chain_env, EvalConfig((0.2, 0.7)), stitch_dataset.r_max,
+                      stitch_dataset.c_max, metadata={"alpha": 0.9, "grid": (1, 2)})
+    payload = {"rows": report.rows, "summary": report.summary, "metadata": report.metadata}
+    plain = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert report.to_json() == plain
 
 
 def _assert_rows_match_run_episode(env, pol, nets, report):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import gas
 from gas.errors import ContractError, NonFiniteError, SchemaError
 from gas.nn import (Mlp, OptimHyper, OptimState, expectile_term, flatten_grads,
-                    grad_check, read_net_bytes, solve_scalar_expectile, write_net_bytes)
+                    grad_check, net_buffers, read_net_bytes, solve_scalar_expectile,
+                    write_net_bytes)
 
 
 def _net(sizes, seed=0):
@@ -74,6 +75,64 @@ def test_backward_matches_finite_differences(rng):
     analytic = flatten_grads(*net.backward(cache, upstream))
     err = grad_check(loss_at, net.get_flat(), analytic, step=1e-5)
     assert err < 1e-4
+
+
+def _reference_forward_cached(net, x):
+    """The allocating forward pass: fresh inputs and pre-activations per layer."""
+    layer_inputs, pre_acts = [x], []
+    h = x
+    last = net.n_layers - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w + b
+        pre_acts.append(z)
+        h = z if i == last else np.maximum(z, 0.0)
+        if i != last:
+            layer_inputs.append(h)
+    return h, (layer_inputs, pre_acts)
+
+
+def _reference_backward(net, cache, g):
+    """The allocating backward pass, masking with the pre-activations."""
+    layer_inputs, pre_acts = cache
+    d_weights, d_biases = [None] * net.n_layers, [None] * net.n_layers
+    for i in range(net.n_layers - 1, -1, -1):
+        gz = g if i == net.n_layers - 1 else g * (pre_acts[i] > 0.0)
+        d_weights[i] = layer_inputs[i].T @ gz
+        d_biases[i] = gz.sum(axis=0)
+        if i > 0:
+            g = gz @ net.weights[i].T
+    return d_weights, d_biases
+
+
+@pytest.mark.parametrize("n_out, batch", [(1, 64), (2, 64), (1, 1), (2, 1)])
+def test_backward_matches_reference(n_out, batch):
+    """The buffered forward/backward give the allocating reference's bytes:
+    1-wide outputs (broadcast multiply) and 2-wide ones (GEMM), one row, and
+    a second pass on the same buffers, with or without buffers."""
+    net = _net([5, 16, 24, 16, n_out], seed=n_out)
+    net.biases[1][...] = -0.5  # some ReLUs off, so the mask matters
+    rng = np.random.default_rng(batch)
+    bufs_a, bufs_b = net_buffers([net, _net([5, 32, n_out])], batch)
+    for bufs in (bufs_a, bufs_a, None):
+        x = rng.normal(size=(batch, 5))
+        upstream = rng.normal(size=(batch, n_out))
+        ref_out, ref_cache = _reference_forward_cached(net, x)
+        out, cache = net.forward_cached(x, bufs)
+        assert out.tobytes() == ref_out.tobytes()
+        dw, db = net.backward(cache, upstream)
+        ref_dw, ref_db = _reference_backward(net, ref_cache, upstream)
+        for got, want in zip(dw + db, ref_dw + ref_db):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert bufs_b.grads[0].base is bufs_a.grads[-1].base  # temporaries are shared
+    # a layer's gradient and the one below it never overlap (numpy would copy)
+    assert not any(np.shares_memory(a, b) for a, b in zip(bufs_a.grads, bufs_a.grads[1:]))
+
+
+def test_forward_rejects_buffers_for_another_batch():
+    net = _net([3, 4, 1])
+    (bufs,) = net_buffers([net], 8)
+    with pytest.raises(ContractError, match="rows"):
+        net.forward_cached(np.ones((4, 3)), bufs)
 
 
 def test_grad_check_exact_for_quadratic():
