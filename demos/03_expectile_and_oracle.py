@@ -11,7 +11,7 @@ Run: python demos/03_expectile_and_oracle.py
 import numpy as np
 
 import gas
-from gas.oracle import ProbeQuery, brute_force_goal, default_state_tolerance
+from gas.oracle import ProbeQuery, brute_force_goal, brute_force_goals, default_state_tolerance
 
 # --- scalar expectiles ----------------------------------------------------------
 
@@ -30,8 +30,10 @@ tol = default_state_tolerance(env.spec)
 
 start = env.reset()
 print("\nbest achievable from the start state, by cost budget:")
-for budget in (2.5, 5.0, 10.0, 20.0, 32.0):
-    ans = brute_force_goal(data, ProbeQuery(start, 0, budget, tol))
+budgets = (2.5, 5.0, 10.0, 20.0, 32.0)
+# one call answers every budget: the start state is matched against the corpus once
+answers = brute_force_goals(data, [ProbeQuery(start, 0, budget, tol) for budget in budgets])
+for budget, ans in zip(budgets, answers):
     print(f"  budget {budget:5.1f}: V*={ans.v_r_star:6.2f} at cost {ans.v_c_star:4.1f} "
           f"({ans.support_count} matching segments)")
 

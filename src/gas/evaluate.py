@@ -57,18 +57,17 @@ def reward_target_table(dataset, thresholds=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6,
     with the checkpoint, so threshold sweeps stay zero-shot.
     """
     from .envs import make_env
-    from .oracle import ProbeQuery, brute_force_goal, default_state_tolerance
+    from .oracle import ProbeQuery, brute_force_goals, default_state_tolerance
 
     env = make_env(dataset.env_meta)
     start = env.reset()
     tol = default_state_tolerance(dataset.env_meta)
-    table = {}
+    answers = brute_force_goals(dataset, [ProbeQuery(start, 0, frac * dataset.c_max, tol)
+                                          for frac in thresholds])
     rewards, _ = dataset.total_returns()
     fallback = float(rewards.max())
-    for frac in thresholds:
-        ans = brute_force_goal(dataset, ProbeQuery(start, 0, frac * dataset.c_max, tol))
-        table[_frac_key(frac)] = ans.v_r_star if ans.feasible else fallback
-    return table
+    return {_frac_key(frac): ans.v_r_star if ans.feasible else fallback
+            for frac, ans in zip(thresholds, answers)}
 
 
 def _frac_key(frac: float) -> str:
@@ -126,6 +125,8 @@ def rollout_policy(env, pol: PolicyNet, nets: GoalNets, r_targets, c_targets,
     ``trace`` receives one dict per (step, row) with the remaining targets
     and the goal values the action was chosen from.
     """
+    if pol.norm.to_dict() != nets.norm.to_dict():
+        raise ContractError("policy and goal nets have different input normalizations")
     T = env.spec.episode_length
     tracker = TargetTracker(np.asarray(r_targets, dtype=np.float64),
                             np.asarray(c_targets, dtype=np.float64))

@@ -4,7 +4,9 @@ Enumerates every augmented segment in the dataset (every trajectory, every
 start t, segment end pinned by the queried pseudo-time t') whose start
 state matches the probe within per-dimension tolerance boxes, then
 maximizes the segment reward among segments whose cost fits the budget.
-Ties at the maximal reward resolve to the smallest cost.
+Ties at the maximal reward resolve to the smallest cost. A list of probes
+is answered in one pass (``brute_force_goals``); ``brute_force_goal`` is its
+one-probe case.
 
 Also houses the analytic ChainRun planner used as the acceptance yardstick.
 """
@@ -53,37 +55,76 @@ def default_state_tolerance(spec: EnvSpec) -> np.ndarray:
     return np.full(spec.state_dim, 0.25)
 
 
-def brute_force_goal(dataset: OfflineDataset, query: ProbeQuery,
-                     suffix_only: bool = False) -> OracleAnswer:
-    """Enumerate matching segments and maximize reward under the budget.
+def brute_force_goals(dataset: OfflineDataset, probes, suffix_only: bool = False) -> list:
+    """Answer every probe in one pass; one ``OracleAnswer`` per probe, in order.
 
-    With ``suffix_only`` the enumeration is restricted to segments that run
-    to the trajectory end (gamma = T-1), i.e. the un-augmented dataset.
+    Probes that share (state, t', tolerance) share one state match and one
+    segment-return gather; each probe's budget is then one compare over that
+    group's candidate segments. With ``suffix_only`` the enumeration is
+    restricted to segments that run to the trajectory end (gamma = T-1),
+    i.e. the un-augmented dataset.
     """
     if dataset.n == 0:
         raise ConfigError("oracle needs a non-empty dataset")
     T = dataset.horizon
-    if not 0 <= query.t_prime <= T - 1:
-        raise ContractError(f"t_prime must be in [0, {T - 1}], got {query.t_prime}")
-    length = T - query.t_prime
-    starts = np.arange(query.t_prime + 1) if not suffix_only else np.array([query.t_prime])
-    # state match over all (trajectory, start) pairs at once
-    cand_states = dataset.states[:, starts, :]               # (N, S, d)
-    inside = np.all(np.abs(cand_states - query.state) <= query.state_tolerance, axis=2)
-    traj_idx, start_idx = np.nonzero(inside)
-    t = starts[start_idx]
-    gamma = t + length - 1
-    r_seg = dataset.reward_prefix[traj_idx, gamma + 1] - dataset.reward_prefix[traj_idx, t]
-    c_seg = dataset.cost_prefix[traj_idx, gamma + 1] - dataset.cost_prefix[traj_idx, t]
-    support = int(traj_idx.size)
-    ok = c_seg <= query.c_hat
-    if not np.any(ok):
-        return OracleAnswer(None, None, support, False)
-    r_ok, c_ok = r_seg[ok], c_seg[ok]
+    width = dataset.states.shape[-1]
+    groups = {}
+    for i, probe in enumerate(probes):
+        if not (isinstance(probe.t_prime, (int, np.integer)) and 0 <= probe.t_prime <= T - 1):
+            raise ContractError(f"t_prime must be an integer in [0, {T - 1}], "
+                                f"got {probe.t_prime!r}")
+        if probe.state.shape != (width,) or probe.state_tolerance.shape != (width,):
+            raise ContractError(
+                f"probe state {probe.state.shape} and tolerance "
+                f"{probe.state_tolerance.shape} must both be ({width},), the corpus state width")
+        key = (probe.state.tobytes(), probe.t_prime, probe.state_tolerance.tobytes())
+        groups.setdefault(key, []).append(i)
+    answers = [None] * len(probes)
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite return: _best_within_budget
+        for members in groups.values():
+            r_seg, c_seg = _matching_segments(dataset, probes[members[0]], suffix_only)
+            for i in members:
+                answers[i] = _best_within_budget(r_seg, c_seg, probes[i].c_hat)
+    return answers
+
+
+def _matching_segments(dataset: OfflineDataset, probe: ProbeQuery, suffix_only: bool):
+    """(reward, cost) returns of every segment whose start state matches the
+    probe's and whose end is pinned by its t'."""
+    T = dataset.horizon
+    earliest = probe.t_prime if suffix_only else 0
+    # state match over all (trajectory, start) pairs at once, one state
+    # dimension at a time: numpy is slow over a length-d inner axis
+    window = dataset.states[:, earliest:probe.t_prime + 1]       # (N, S, d) view
+    inside = np.ones(window.shape[:2], dtype=bool)
+    for k in range(window.shape[-1]):
+        inside &= np.abs(window[:, :, k] - probe.state[k]) <= probe.state_tolerance[k]
+    traj_idx, t = np.nonzero(inside)
+    t += earliest
+    end = t + (T - probe.t_prime)                                 # gamma + 1
+    r_seg = dataset.reward_prefix[traj_idx, end] - dataset.reward_prefix[traj_idx, t]
+    c_seg = dataset.cost_prefix[traj_idx, end] - dataset.cost_prefix[traj_idx, t]
+    return r_seg, c_seg
+
+
+def _best_within_budget(r_seg, c_seg, c_hat) -> OracleAnswer:
+    """The largest reward among segments costing at most ``c_hat``, at the
+    smallest cost among those within 1e-12 of it."""
+    ok = c_seg <= c_hat
+    r_ok = r_seg[ok]
+    if r_ok.size == 0:
+        return OracleAnswer(None, None, r_seg.size, False)
     best_r = r_ok.max()
-    at_best = np.isclose(r_ok, best_r, rtol=0.0, atol=1e-12)
-    best_c = c_ok[at_best].min()
-    return OracleAnswer(float(best_r), float(best_c), support, True)
+    # np.isclose(r_ok, best_r, rtol=0, atol=1e-12) without its per-call overhead;
+    # the == term holds at an infinite maximum, where the difference is nan
+    at_best = (np.abs(r_ok - best_r) <= 1e-12) | (r_ok == best_r)
+    return OracleAnswer(float(best_r), float(c_seg[ok][at_best].min()), r_seg.size, True)
+
+
+def brute_force_goal(dataset: OfflineDataset, query: ProbeQuery,
+                     suffix_only: bool = False) -> OracleAnswer:
+    """``brute_force_goals`` for one probe."""
+    return brute_force_goals(dataset, [query], suffix_only)[0]
 
 
 def chainrun_optimum(T: int, budget: float) -> float:

@@ -24,7 +24,11 @@ from .nn import Mlp, NetBuffers, expectile_weight, layer_sizes
 
 def policy_inputs(norm: InputNorm, states, r_hat, c_hat, v_r, v_c, t_prime) -> np.ndarray:
     """[normalized state, r_hat/rs, c_hat/cs, V^R/rs, V^C/cs, t'/T]."""
-    z = goal_inputs(norm, states, r_hat, c_hat, t_prime)
+    return _extend_goal_inputs(norm, goal_inputs(norm, states, r_hat, c_hat, t_prime), v_r, v_c)
+
+
+def _extend_goal_inputs(norm: InputNorm, z: np.ndarray, v_r, v_c) -> np.ndarray:
+    """The policy input from the goal input ``z`` and the goal values at it."""
     v_r = np.asarray(v_r, dtype=np.float64).reshape(-1) / norm.r_scale
     v_c = np.asarray(v_c, dtype=np.float64).reshape(-1) / norm.c_scale
     return np.column_stack([z[:, :-1], v_r, v_c, z[:, -1]])
@@ -99,16 +103,18 @@ def act(pol: PolicyNet, nets: GoalNets, state, tracker: TargetTracker, T: int) -
 
     A (d,) state gives an (action_dim,) action; (B, d) states with a tracker
     of (B,) remainders give (B, action_dim) actions from one goal-net and one
-    policy forward.
+    policy forward. The goal input is built once and extended into the
+    policy input, so ``pol`` and ``nets`` must share one input normalization,
+    as models trained together do (``evaluate.rollout_policy`` checks it).
     """
     if tracker.t >= T:
         raise ContractError(f"act called at t={tracker.t} >= T={T}")
     states = np.atleast_2d(np.asarray(state, dtype=np.float64))
     r = np.atleast_1d(np.asarray(tracker.r_remaining, dtype=np.float64))
     c = np.atleast_1d(np.asarray(tracker.c_remaining, dtype=np.float64))
-    tp = np.full(len(states), float(tracker.t))
-    v_r, v_c = nets.values(states, r, c, tp)
-    actions = pol.forward(states, r, c, v_r, v_c, tp)
+    z = goal_inputs(nets.norm, states, r, c, np.full(len(states), float(tracker.t)))
+    v_r, v_c = nets.reward_net.forward(z)[:, 0], nets.cost_net.forward(z)[:, 0]
+    actions = np.tanh(pol.net.forward(_extend_goal_inputs(pol.norm, z, v_r, v_c)))
     return actions[0] if np.ndim(state) == 1 else actions
 
 

@@ -235,6 +235,50 @@ def test_oracle_check_scores_the_run_corpus_without_rewriting_it(tmp_path, monke
     assert (tmp_path / "dataset.gasdset").read_bytes() == corpus
 
 
+def _reference_oracle_check(run_dir):
+    """The oracle-check payload computed one probe at a time: one oracle call
+    and one one-row goal-net forward per probe, as before batching."""
+    from gas.oracle import ProbeQuery, brute_force_goal, default_state_tolerance
+    nets, _ = gas.load_goals(run_dir / "goals.ckpt")
+    data = gas.load_dataset(run_dir / "dataset.gasdset")
+    T = data.horizon
+    times = [t for t in (0, T // 4, T // 2, 3 * T // 4) if t < T]
+    budgets = [data.c_max * f for f in (0.125, 0.25, 0.5, 1.0)]
+    traj_ids = list(range(0, data.n, max(1, data.n // 4)))[:4]
+    probes = gas.probe_grid_from_dataset(data, traj_ids, times, budgets)
+    wide = default_state_tolerance(data.env_meta).copy()
+    wide[-1] = 1.0
+    agree = total = 0
+    dominance_ok = True
+    for probe in probes:
+        answer = brute_force_goal(data, probe)
+        if not answer.feasible:
+            continue
+        total += 1
+        v_r, _ = nets.values(probe.state[None, :], np.array([1.0 * (T - probe.t_prime)]),
+                             np.array([probe.c_hat]), np.array([float(probe.t_prime)]))
+        agree += abs(float(v_r[0]) - answer.v_r_star) / max(abs(answer.v_r_star), 1e-8) <= 0.10
+        wide_probe = ProbeQuery(probe.state, probe.t_prime, probe.c_hat, wide)
+        aug = brute_force_goal(data, wide_probe)
+        suf = brute_force_goal(data, wide_probe, suffix_only=True)
+        if aug.feasible and suf.feasible and aug.v_r_star < suf.v_r_star - 1e-9:
+            dominance_ok = False
+    return {"probes": len(probes), "feasible": total,
+            "agreement_fraction": agree / total if total else 0.0,
+            "dominance_ok": dominance_ok}
+
+
+def test_oracle_check_matches_per_probe_reference(tmp_path):
+    small = ["n_traj=12", "iterations=200"]  # a corpus where some probes are infeasible
+    assert run(tmp_path, "train", *small) == 0
+    assert run(tmp_path, "oracle-check", *small) in (0, 3)
+    expected = _reference_oracle_check(tmp_path)
+    assert 0 < expected["feasible"] < expected["probes"]
+    assert expected["agreement_fraction"] > 0
+    written = (tmp_path / "oracle_check.json").read_text()
+    assert written == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 @pytest.mark.parametrize("other", [["n_traj=40"], ["gen-dataset", "seed=4"]],
                          ids=["n_traj", "sha256"])
 def test_oracle_check_rejects_a_corpus_the_checkpoint_was_not_trained_on(tmp_path, capsys, other):

@@ -43,6 +43,16 @@ def test_normalization_identities(chain_env, stitch_dataset, models):
         assert row["threshold_cost"] == row["threshold_frac"] * stitch_dataset.c_max
 
 
+def test_rollout_rejects_models_with_different_input_normalizations(chain_env, block_dataset,
+                                                                     models):
+    """act feeds the policy the goal nets' input, so both must share one
+    normalization; a policy fitted on another corpus is a ContractError."""
+    nets, pol = models
+    other = PolicyNet(pol.net, InputNorm.fit(block_dataset), pol.action_dim)
+    with pytest.raises(ContractError, match="normalization"):
+        run_episode(chain_env, other, nets, 10.0, 5.0)
+
+
 def test_zero_budget_cost_norm(chain_env, stitch_dataset, models):
     """With C_max = 0 every budget L is 0: cost_norm is 0 for a rollout that
     spends nothing and inf for one that spends, in both sweeps."""

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import gas
-from gas.oracle import (ProbeQuery, brute_force_goal, chainrun_optimum,
-                        chainrun_optimum_exhaustive, default_state_tolerance,
-                        probe_grid_from_dataset)
+from gas.errors import ContractError
+from gas.oracle import (OracleAnswer, ProbeQuery, brute_force_goal, brute_force_goals,
+                        chainrun_optimum, chainrun_optimum_exhaustive,
+                        default_state_tolerance, probe_grid_from_dataset)
 
 
 def _tiny_dataset():
@@ -114,6 +115,130 @@ def test_augmentation_dominates_suffixes(stitch_dataset):
                     strict += aug.v_r_star > suf.v_r_star + 1e-9
     assert both >= 10
     assert strict >= 1
+
+
+# -- batched probes ---------------------------------------------------------------
+
+def _reference_brute_force_goal(dataset, query, suffix_only=False):
+    """The one-probe-at-a-time oracle that batching replaced, kept as the
+    reference the batched answers must equal exactly."""
+    T = dataset.horizon
+    length = T - query.t_prime
+    starts = np.arange(query.t_prime + 1) if not suffix_only else np.array([query.t_prime])
+    cand_states = dataset.states[:, starts, :]
+    inside = np.all(np.abs(cand_states - query.state) <= query.state_tolerance, axis=2)
+    traj_idx, start_idx = np.nonzero(inside)
+    t = starts[start_idx]
+    gamma = t + length - 1
+    r_seg = dataset.reward_prefix[traj_idx, gamma + 1] - dataset.reward_prefix[traj_idx, t]
+    c_seg = dataset.cost_prefix[traj_idx, gamma + 1] - dataset.cost_prefix[traj_idx, t]
+    support = int(traj_idx.size)
+    ok = c_seg <= query.c_hat
+    if not np.any(ok):
+        return OracleAnswer(None, None, support, False)
+    r_ok, c_ok = r_seg[ok], c_seg[ok]
+    best_r = r_ok.max()
+    at_best = np.isclose(r_ok, best_r, rtol=0.0, atol=1e-12)
+    best_c = c_ok[at_best].min()
+    return OracleAnswer(float(best_r), float(best_c), support, True)
+
+
+def _tie_dataset():
+    """Two trajectories through the same states with equal rewards and
+    different costs: the maximal reward is tied and the cheaper one wins."""
+    T = 4
+    states = np.arange(T, dtype=float).reshape(T, 1)
+    actions = np.zeros((T, 1))
+    spec = gas.EnvSpec("ChainRun", T, 1, 1)
+    return gas.OfflineDataset.from_arrays(spec, [states, states], [actions, actions],
+                                          [[1.0, 0.5, 1.0, 0.5]] * 2,
+                                          [[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.5, 0.0]])
+
+
+def _probe_set(data, rng):
+    """Probes at dataset states for t' = 0, T-1 and between, at budgets from
+    below every segment cost to C_max, plus one unmatched state; repeated
+    in part and shuffled."""
+    T = data.horizon
+    tol = default_state_tolerance(data.env_meta)
+    if tol.size != data.states.shape[-1]:  # the hand-built corpora have a 1-wide state
+        tol = np.array([0.1])
+    times = sorted({0, T // 3, T // 2, T - 1})
+    traj_ids = sorted({0, data.n // 2, data.n - 1})
+    budgets = [-1.0, 0.0, 0.3 * data.c_max, 0.7 * data.c_max, data.c_max]
+    probes = probe_grid_from_dataset(data, traj_ids, times, budgets, tol)
+    # the same states asked at another t'
+    probes += [ProbeQuery(p.state, (p.t_prime + T // 2) % T, p.c_hat, tol) for p in probes[::4]]
+    far = data.states[0, 0] + 100.0
+    probes += [ProbeQuery(far, 0, data.c_max, tol), ProbeQuery(far, T - 1, 1.0, tol)]
+    probes += probes[::3]
+    return [probes[i] for i in rng.permutation(len(probes))]
+
+
+def _widen(probes):
+    wide = probes[0].state_tolerance.copy()
+    wide[-1] = 1.0
+    return [ProbeQuery(p.state, p.t_prime, p.c_hat, wide) for p in probes]
+
+
+def test_batched_answers_equal_single_probe_reference(stitch_dataset, rng):
+    grid_env = gas.make_env(gas.gridcircle_spec(16))
+    corpora = {"stitch": stitch_dataset,
+               "gridcircle": gas.generate_offline_dataset(
+                   grid_env, gas.mix_by_name("default", gas.GRID_CIRCLE), 30, seed=4),
+               "tie": _tie_dataset()}
+    seen = {"unmatched": 0, "over budget": 0, "feasible": 0}
+    for name, data in corpora.items():
+        narrow = _probe_set(data, rng)
+        wide = _widen(narrow)
+        mixed = [(narrow + wide)[i] for i in rng.permutation(2 * len(narrow))]
+        for probes in (narrow, wide, mixed):
+            for suffix_only in (False, True):
+                answers = brute_force_goals(data, probes, suffix_only=suffix_only)
+                assert len(answers) == len(probes)
+                for probe, answer in zip(probes, answers):
+                    assert answer == _reference_brute_force_goal(data, probe, suffix_only), name
+                    assert brute_force_goal(data, probe, suffix_only) == answer
+                    seen["feasible" if answer.feasible else
+                         "over budget" if answer.support_count else "unmatched"] += 1
+    assert min(seen.values()) > 0, seen
+    # the tie at the start state: both trajectories earn 3.0, the cheaper costs 0.5
+    tie = brute_force_goals(corpora["tie"], [ProbeQuery(np.zeros(1), 0, 10.0, np.array([0.1]))])
+    assert tie == [OracleAnswer(3.0, 0.5, 2, True)]
+    # an infinite return is its own maximum: isclose's == term selects it
+    T = 4
+    states, actions = np.arange(T, dtype=float).reshape(T, 1), np.zeros((T, 1))
+    endless = gas.OfflineDataset.from_arrays(gas.EnvSpec("ChainRun", T, 1, 1), [states] * 2,
+                                             [actions] * 2, [[np.inf, 0, 0, 0], [1.0] * T],
+                                             [[1.0] * T, [0.0] * T])
+    probe = ProbeQuery(np.zeros(1), 0, 10.0, np.array([0.1]))
+    assert brute_force_goals(endless, [probe]) == [_reference_brute_force_goal(endless, probe)]
+    assert brute_force_goal(endless, probe) == OracleAnswer(np.inf, 4.0, 2, True)
+
+
+def test_brute_force_goals_of_no_probes_is_empty(stitch_dataset):
+    assert brute_force_goals(stitch_dataset, []) == []
+
+
+@pytest.mark.parametrize("t_prime", [-1, 32, 3.5])
+def test_brute_force_goals_rejects_t_prime_out_of_range(stitch_dataset, t_prime):
+    tol = default_state_tolerance(stitch_dataset.env_meta)
+    good = ProbeQuery(stitch_dataset.states[0, 0].copy(), 0, 5.0, tol)
+    bad = ProbeQuery(stitch_dataset.states[0, 0].copy(), t_prime, 5.0, tol)
+    with pytest.raises(ContractError, match="t_prime"):
+        brute_force_goals(stitch_dataset, [good, bad])
+
+
+@pytest.mark.parametrize("field", ["state", "state_tolerance"])
+def test_brute_force_goals_rejects_a_probe_of_another_width(stitch_dataset, field):
+    tol = default_state_tolerance(stitch_dataset.env_meta)
+    probe = {"state": stitch_dataset.states[0, 0].copy(), "t_prime": 0, "c_hat": 5.0,
+             "state_tolerance": tol}
+    probe[field] = np.append(probe[field], 0.5)  # 3 wide against the corpus's 2
+    with pytest.raises(ContractError, match="width"):
+        brute_force_goals(stitch_dataset, [ProbeQuery(**probe)])
+    with pytest.raises(ContractError, match="width"):
+        brute_force_goal(stitch_dataset, ProbeQuery(**probe))
 
 
 def test_chainrun_optimum_examples():

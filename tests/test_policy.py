@@ -136,6 +136,28 @@ def test_act_deterministic_and_in_range(stitch_dataset):
     assert np.all(np.abs(a1) <= 1.0)
 
 
+def test_act_equals_separate_goal_and_policy_forwards(stitch_dataset, rng):
+    """act builds the goal input once and extends it into the policy input;
+    the actions are bit-identical to evaluating both nets from the states."""
+    nets, pol = _models(stitch_dataset, seed=10)
+    pol.net.weights[-1][...] = rng.uniform(-0.5, 0.5, size=pol.net.weights[-1].shape)
+    # as when loaded from two checkpoints: equal normalizations, distinct objects
+    pol = PolicyNet(pol.net, InputNorm.from_dict(pol.norm.to_dict()), pol.action_dim)
+    states = stitch_dataset.states[rng.integers(0, stitch_dataset.n, 7), 5]
+    tracker = TargetTracker(rng.uniform(0, 20, 7), rng.uniform(0, 10, 7), t=5)
+    tp = np.full(7, 5.0)
+    v_r, v_c = nets.values(states, tracker.r_remaining, tracker.c_remaining, tp)
+    expected = pol.forward(states, tracker.r_remaining, tracker.c_remaining, v_r, v_c, tp)
+    actions = act(pol, nets, states, tracker, 32)
+    assert np.array_equal(actions, expected)
+    assert np.unique(actions).size > 1
+    # one (d,) state: the same against one-row forwards
+    r, c = tracker.r_remaining[:1], tracker.c_remaining[:1]
+    v_r, v_c = nets.values(states[:1], r, c, tp[:1])
+    expected = pol.forward(states[:1], r, c, v_r, v_c, tp[:1])[0]
+    assert np.array_equal(act(pol, nets, states[0], TargetTracker(r[0], c[0], t=5), 32), expected)
+
+
 def test_act_past_horizon_rejected(stitch_dataset):
     nets, pol = _models(stitch_dataset)
     with pytest.raises(ContractError):
