@@ -28,7 +28,7 @@ from .goals import load_goals, save_goals
 from .oracle import (ProbeQuery, brute_force_goals, default_state_tolerance,
                      probe_grid_from_dataset)
 from .policy import load_policy, save_policy
-from .training import NetHyper, train_gas
+from .training import train_gas
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -41,17 +41,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _aug_config(cfg: RunConfig) -> ds.AugmentConfig:
-    return ds.AugmentConfig(cfg.delta, cfg.q_percent, cfg.epsilon, cfg.cost_bins,
-                            cfg.tsra, cfg.relabel_cost)
-
-
-def _net_hyper(cfg: RunConfig) -> NetHyper:
-    return NetHyper(cfg.n_layers, cfg.hidden, cfg.embedding, cfg.batch_size,
-                    cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.grad_clip,
-                    cfg.weight_decay, cfg.lr_final_fraction)
 
 
 def _load_or_generate_dataset(cfg: RunConfig, out: Path) -> tuple[ds.OfflineDataset, Path]:
@@ -87,15 +76,16 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
     ds.export_jsonl(data, out / "dataset.jsonl")
     print(f"dataset: {path}")
     print(f"n_traj={data.n} T={data.horizon} R_max={data.r_max} C_max={data.c_max}")
-    _print_histogram(data, cfg.cost_bins)
+    _print_histogram(data, cfg.augment.cost_bins)
     return EXIT_OK
 
 
 def _train_meta(cfg: RunConfig, dataset_path: Path, data: ds.OfflineDataset) -> dict:
-    fracs = sorted(set(cfg.thresholds) | {x / 10 for x in range(1, 10)})
+    fracs = sorted(set(cfg.evaluation.thresholds) | set(EvalConfig.thresholds))
+    aug = cfg.augment
     return {
-        "alpha": cfg.alpha, "delta": cfg.delta, "q_percent": cfg.q_percent,
-        "epsilon": cfg.epsilon, "config_hash": config_hash(cfg), "seed": cfg.seed,
+        "alpha": cfg.alpha, "delta": aug.delta, "q_percent": aug.q_percent,
+        "epsilon": aug.epsilon, "config_hash": config_hash(cfg), "seed": cfg.seed,
         "env_name": data.env_meta.name, "episode_length": data.env_meta.episode_length,
         "state_dim": data.env_meta.state_dim, "action_dim": data.env_meta.action_dim,
         "r_max": data.r_max, "c_max": data.c_max,
@@ -107,7 +97,7 @@ def _train_meta(cfg: RunConfig, dataset_path: Path, data: ds.OfflineDataset) -> 
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     data, dataset_path = _load_or_generate_dataset(cfg, out)
-    result = train_gas(data, _aug_config(cfg), _net_hyper(cfg), cfg.alpha,
+    result = train_gas(data, cfg.augment, cfg.hyper, cfg.alpha,
                        cfg.iterations, seed_streams(cfg.seed), cfg.schedule)
     meta = _train_meta(cfg, dataset_path, data)
     goals_path, policy_path = out / "goals.ckpt", out / "policy.ckpt"
@@ -136,14 +126,18 @@ _TRAIN_META_KEYS = ("env_name", "state_dim", "episode_length", "r_max", "c_max",
                     "alpha", "delta", "q_percent", "epsilon")
 
 
-def _load_checkpoints(cfg: RunConfig, out: Path):
-    goals_path = out / "goals.ckpt"
-    policy_path = out / "policy.ckpt"
-    for path in (goals_path, policy_path):
-        if not path.exists():
-            raise ConfigError(f"missing checkpoint: {path}")
+def _checkpoint_path(out: Path, name: str) -> Path:
+    path = out / name
+    if not path.exists():
+        raise ConfigError(f"missing checkpoint: {path}")
+    return path
+
+
+def _load_trained_goals(cfg: RunConfig, out: Path):
+    """The goal nets and training metadata of ``out/goals.ckpt``, checked
+    against the run's env."""
+    goals_path = _checkpoint_path(out, "goals.ckpt")
     nets, gmeta = load_goals(goals_path)
-    pol, _ = load_policy(policy_path)
     missing = set(_TRAIN_META_KEYS) - set(gmeta)
     if missing:
         raise SchemaError(f"{goals_path} metadata lacks {sorted(missing)}")
@@ -153,10 +147,7 @@ def _load_checkpoints(cfg: RunConfig, out: Path):
     if run != trained:
         raise GasError(f"env/checkpoint mismatch (env, state_dim, episode_length): "
                        f"run is {run}, checkpoint is {trained}")
-    env = make_env(spec)
-    ckpt_hash = {"goals.ckpt": sha256_file(goals_path),
-                 "policy.ckpt": sha256_file(policy_path)}
-    return nets, pol, env, gmeta, ckpt_hash
+    return nets, gmeta
 
 
 # the gate that sets the exit code: eval checks the cost budgets only,
@@ -167,10 +158,13 @@ _EVAL_GATES = {"eval": "cost_within_tolerance", "sweep": "passed"}
 def cmd_evaluate(cfg: RunConfig, command: str) -> int:
     """`gas eval` and `gas sweep`: evaluate the checkpoints at the configured
     thresholds and write <command>.csv / <command>.json."""
-    eval_cfg = EvalConfig(tuple(cfg.thresholds), cfg.target_reward_fraction)
     out = _out_dir(cfg)
-    nets, pol, env, meta, ckpt_hash = _load_checkpoints(cfg, out)
-    report = evaluate(pol, nets, env, eval_cfg, meta["r_max"], meta["c_max"],
+    policy_path = _checkpoint_path(out, "policy.ckpt")
+    nets, meta = _load_trained_goals(cfg, out)
+    pol, _ = load_policy(policy_path)
+    env = make_env(spec_by_name(cfg.env_name, cfg.episode_length))
+    ckpt_hash = {name: sha256_file(out / name) for name in ("goals.ckpt", "policy.ckpt")}
+    report = evaluate(pol, nets, env, cfg.evaluation, meta["r_max"], meta["c_max"],
                       metadata={"checkpoint_hash": ckpt_hash, "alpha": meta["alpha"],
                                 "delta": meta["delta"], "q_percent": meta["q_percent"],
                                 "epsilon": meta["epsilon"]},
@@ -186,13 +180,11 @@ def cmd_evaluate(cfg: RunConfig, command: str) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, kind: str) -> int:
-    eval_cfg = EvalConfig(tuple(cfg.thresholds), cfg.target_reward_fraction)
     out = _out_dir(cfg)
     data, _ = _load_or_generate_dataset(cfg, out)
     env = make_env(data.env_meta)
-    results = run_ablation(kind, data, _aug_config(cfg), _net_hyper(cfg),
-                              cfg.alpha, cfg.iterations, cfg.seed, env, eval_cfg,
-                              cfg.schedule)
+    results = run_ablation(kind, data, cfg.augment, cfg.hyper, cfg.alpha, cfg.iterations,
+                           cfg.seed, env, cfg.evaluation, cfg.schedule)
     comparison = {}
     for name, bundle in sorted(results.items()):
         report = bundle["report"]
@@ -227,7 +219,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     checkpoint's own corpus and check that augmented segments dominate
     trajectory suffixes."""
     out = _out_dir(cfg)
-    nets, _pol, _env, meta, _ = _load_checkpoints(cfg, out)
+    nets, meta = _load_trained_goals(cfg, out)
     data = _checkpoint_dataset(cfg, out, meta)
     T = data.horizon
     times = [t for t in (0, T // 4, T // 2, 3 * T // 4) if t < T]

@@ -2,7 +2,10 @@
 
 Config sources compose with precedence CLI overrides > config file >
 defaults. The file format is plain ``key = value`` lines (``#`` comments);
-overrides are ``key=value`` tokens. Unknown keys are errors, never ignored.
+overrides are ``key=value`` tokens. Keys are flat: each names a field of
+``RunConfig`` or of one of its parts (``AugmentConfig``, ``NetHyper``,
+``EvalConfig``), whose defaults and range checks apply. Unknown keys are
+errors, never ignored.
 
 All randomness flows from one root seed split into named streams so that
 ablations share every stream except the one under study.
@@ -16,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import AugmentConfig
 from .errors import ConfigError
-
-# hyperparameter defaults: 7 layers, hidden 128, embedding 64, batch 2048,
-# lr 1e-4, betas (0.9, 0.999), grad clip 0.25, weight decay 1e-4, alpha 0.8,
-# delta 0.1, q 10%, epsilon 0.5
+from .evaluate import EvalConfig
+from .training import NetHyper
 
 
 @dataclass
@@ -31,96 +33,78 @@ class RunConfig:
     n_traj: int = 200
     behavior_mix: str = "default"
     dataset_path: str = ""
-    # augmentation / relabeling / reshaping
-    delta: float = 0.1
-    q_percent: float = 10.0
-    epsilon: float = 0.5
-    cost_bins: int = 10
-    tsra: bool = True
-    relabel_cost: bool = True
-    # networks / optimizer
-    n_layers: int = 7
-    hidden: int = 128
-    embedding: int = 64
-    batch_size: int = 2048
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    grad_clip: float = 0.25
-    weight_decay: float = 1e-4
-    lr_final_fraction: float = 1.0
     # training
     alpha: float = 0.8
     iterations: int = 20000
     schedule: str = "interleaved"
-    # evaluation
-    thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    target_reward_fraction: float = 1.05
     # run plumbing
     seed: int = 0
     out_dir: str = "runs"
+    # the library's settings
+    augment: AugmentConfig = field(default_factory=AugmentConfig)
+    hyper: NetHyper = field(default_factory=NetHyper)
+    evaluation: EvalConfig = field(default_factory=EvalConfig)
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_PARTS = {"augment": AugmentConfig, "hyper": NetHyper, "evaluation": EvalConfig}
+# flat config key -> the part that holds it, None for RunConfig's own fields
+_KEYS = {f.name: None for f in dataclasses.fields(RunConfig) if f.name not in _PARTS}
+_KEYS.update({f.name: part for part, cls in _PARTS.items() for f in dataclasses.fields(cls)})
 
 
-def _parse_value(key: str, raw: str):
-    default = getattr(RunConfig(), key)
-    raw = raw.strip()
+def _value(cfg: RunConfig, key: str):
+    part = _KEYS[key]
+    return getattr(getattr(cfg, part) if part else cfg, key)
+
+
+_DEFAULTS = RunConfig()
+
+
+def _parse_pair(text: str, source: str) -> tuple:
+    """``key=value`` from ``source`` as (key, value typed like its default)."""
+    if "=" not in text:
+        raise ConfigError(f"{source}: expected key=value, got {text!r}")
+    key, raw = (part.strip() for part in text.split("=", 1))
+    if key not in _KEYS:
+        raise ConfigError(f"unknown config key {key!r} ({source})")
+    default = _value(_DEFAULTS, key)
     try:
         if isinstance(default, bool):
             if raw.lower() in ("1", "true", "yes", "on"):
-                return True
+                return key, True
             if raw.lower() in ("0", "false", "no", "off"):
-                return False
+                return key, False
             raise ValueError(raw)
         if isinstance(default, int):
-            return int(raw)
+            return key, int(raw)
         if isinstance(default, float):
-            return float(raw)
+            return key, float(raw)
         if isinstance(default, tuple):
             elem = type(default[0]) if default else float
-            return tuple(elem(part) for part in raw.split(",") if part.strip())
-        return raw
+            return key, tuple(elem(part) for part in raw.split(",") if part.strip())
+        return key, raw
     except ValueError as exc:
         raise ConfigError(f"bad value for config key {key!r}: {raw!r}") from exc
 
 
-def load_config_file(path) -> dict:
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELDS:
-                raise ConfigError(f"unknown config key {key!r} ({path}:{lineno})")
-            values[key] = _parse_value(key, raw)
-    return values
-
-
-def parse_overrides(tokens) -> dict:
-    values = {}
-    for token in tokens:
-        if "=" not in token:
-            raise ConfigError(f"override must look like key=value, got {token!r}")
-        key, raw = token.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
-    return values
-
-
 def build_config(config_path=None, overrides=()) -> RunConfig:
-    values = {}
+    """The file's pairs, then the overrides, the later value of a key winning.
+    Each part is built here, so its range checks reject a bad value before
+    any subcommand runs."""
+    pairs = []
     if config_path:
-        values.update(load_config_file(config_path))
-    values.update(parse_overrides(overrides))
-    return dataclasses.replace(RunConfig(), **values)
+        with open(config_path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    pairs.append((line, f"{config_path}:{lineno}"))
+    pairs += [(token, "override") for token in overrides]
+    own, parts = {}, {part: {} for part in _PARTS}
+    for text, source in pairs:
+        key, value = _parse_pair(text, source)
+        part = _KEYS[key]
+        (parts[part] if part else own)[key] = value
+    return RunConfig(**own, **{part: cls(**parts[part]) for part, cls in _PARTS.items()})
 
 
 # run placement, not experiment identity: excluded from hashing so the same
@@ -130,13 +114,13 @@ _PLACEMENT_KEYS = ("out_dir",)
 
 def canonical_config_text(cfg: RunConfig) -> str:
     lines = []
-    for name in sorted(_FIELDS):
-        if name in _PLACEMENT_KEYS:
+    for key in sorted(_KEYS):
+        if key in _PLACEMENT_KEYS:
             continue
-        value = getattr(cfg, name)
+        value = _value(cfg, key)
         if isinstance(value, tuple):
             value = ",".join(repr(v) for v in value)
-        lines.append(f"{name} = {value!r}")
+        lines.append(f"{key} = {value!r}")
     return "\n".join(lines) + "\n"
 
 

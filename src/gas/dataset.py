@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs import CHAIN_RUN, GRID_CIRCLE, EnvSpec, Trajectory, rollout_actors, spec_by_name
+from .envs import (CHAIN_RUN, GRID_CIRCLE, EnvSpec, Trajectory, prefix_sums, rollout_actors,
+                   spec_by_name)
 from .errors import ConfigError, ContractError, SchemaError, parsing
 
 DATASET_MAGIC = b"GASDSET1"
@@ -57,9 +58,7 @@ class OfflineDataset:
             raise ConfigError("dataset must contain at least one trajectory")
         states = np.asarray(states, dtype=np.float64)
         actions = np.asarray(actions, dtype=np.float64)
-        start = np.zeros((rewards.shape[0], 1))
-        rp = np.concatenate([start, np.cumsum(rewards, axis=1)], axis=1)
-        cp = np.concatenate([start, np.cumsum(costs, axis=1)], axis=1)
+        rp, cp = prefix_sums(rewards), prefix_sums(costs)
         trajectories = [Trajectory(*arrays) for arrays in zip(states, actions, rewards, costs, rp, cp)]
         return cls(env_meta, states, actions, rewards, costs, rp, cp, trajectories,
                    r_max=float(rp[:, -1].max()), c_max=float(cp[:, -1].max()))

@@ -48,6 +48,13 @@ def gridcircle_spec(episode_length: int = 64) -> EnvSpec:
     return EnvSpec(GRID_CIRCLE, episode_length, state_dim=3, action_dim=2)
 
 
+def prefix_sums(values: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis with a leading 0: entry k is the
+    sum of the first k values, so [t, gamma] sums to p[gamma+1] - p[t]."""
+    start = np.zeros(values.shape[:-1] + (1,))
+    return np.concatenate([start, np.cumsum(values, axis=-1)], axis=-1)
+
+
 @dataclass
 class Trajectory:
     """Fixed-length episode with prefix sums for O(1) segment returns.
@@ -67,15 +74,13 @@ class Trajectory:
     def from_arrays(cls, states, actions, rewards, costs) -> "Trajectory":
         rewards = np.asarray(rewards, dtype=np.float64)
         costs = np.asarray(costs, dtype=np.float64)
-        rp = np.concatenate(([0.0], np.cumsum(rewards)))
-        cp = np.concatenate(([0.0], np.cumsum(costs)))
         return cls(
             states=np.asarray(states, dtype=np.float64),
             actions=np.asarray(actions, dtype=np.float64),
             rewards=rewards,
             costs=costs,
-            reward_prefix=rp,
-            cost_prefix=cp,
+            reward_prefix=prefix_sums(rewards),
+            cost_prefix=prefix_sums(costs),
         )
 
     @property

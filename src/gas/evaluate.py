@@ -45,8 +45,7 @@ class EvalConfig:
             raise ConfigError("thresholds must be fractions in (0, 1]")
 
 
-def reward_target_table(dataset, thresholds=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6,
-                                             0.7, 0.8, 0.9)) -> dict:
+def reward_target_table(dataset, thresholds=EvalConfig.thresholds) -> dict:
     """Per-threshold reward targets: the best budget-feasible return from
     the initial state, read off the dataset by the brute-force oracle.
 

@@ -55,12 +55,12 @@ class PolicyNet:
         return np.tanh(self.net.forward(z))
 
 
-def policy_loss(batch: TransitionBatch, nets: GoalNets, pol: PolicyNet, alpha: float,
+def policy_loss(batch: TransitionBatch, pol: PolicyNet, alpha: float,
                 adv: AdvantagePair, *, buffers: "NetBuffers | None" = None):
     """Constrained AWR loss and gradients (into the policy net only).
 
-    ``adv`` is what ``goal_loss`` returned for the same batch and goal nets
-    ``nets``; its (a_r, feasible, v_r, v_c) are constants here. ``buffers``
+    ``adv`` is what ``goal_loss`` returned for the same batch; its (a_r,
+    feasible, v_r, v_c) are constants here. ``buffers``
     are what the policy net's forward and backward write into, as in
     ``goal_loss``. Returns (l_pi, grads, weights).
     """

@@ -126,7 +126,7 @@ def train_gas(dataset: OfflineDataset, cfg: AugmentConfig, hyper: NetHyper,
             batch = sample_batch(dataset, reshape, cfg, hyper.batch_size, rng_batch, rng_relabel)
             l_r, l_c, grads_r, grads_c, adv = goal_loss(batch, nets, alpha,
                                                         buffers=(bufs_r, bufs_c))
-            l_pi, grads_p, _ = policy_loss(batch, nets, pol, alpha, adv=adv, buffers=bufs_p)
+            l_pi, grads_p, _ = policy_loss(batch, pol, alpha, adv=adv, buffers=bufs_p)
             if not (np.isfinite(l_r) and np.isfinite(l_c) and np.isfinite(l_pi)):
                 raise NonFiniteError(_diagnose(it, batch, l_r=l_r, l_c=l_c, l_pi=l_pi))
             if update_goals:

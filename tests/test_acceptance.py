@@ -219,7 +219,7 @@ def test_criterion_3_gradient_correctness(corpus):
         a_c = batch.c_seg - probe.forward(z)[:, 0]
         return float(np.mean(w * a_c ** 2))
 
-    _, grads_p, w_pol = policy_loss(batch, nets, pol, ALPHA, adv=adv)
+    _, grads_p, w_pol = policy_loss(batch, pol, ALPHA, adv=adv)
     zp = policy_inputs(norm, batch.states, batch.r_hat, batch.c_hat,
                        adv.v_r, adv.v_c, batch.t_prime)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -7,8 +8,11 @@ import pytest
 
 import gas
 from gas.cli import main
-from gas.config import build_config, config_hash, seed_streams
+from gas.config import RunConfig, build_config, canonical_config_text, config_hash, seed_streams
+from gas.dataset import AugmentConfig
 from gas.errors import ConfigError
+from gas.evaluate import EvalConfig
+from gas.training import NetHyper, train_gas
 
 FAST = [
     "env_name=ChainRun", "episode_length=8", "n_traj=24", "iterations=50",
@@ -25,11 +29,12 @@ def run(out_dir, command, *overrides):
 
 def test_config_defaults_match_documented_values():
     cfg = build_config()
-    assert (cfg.batch_size, cfg.learning_rate, cfg.grad_clip) == (2048, 1e-4, 0.25)
-    assert (cfg.weight_decay, cfg.alpha, cfg.delta) == (1e-4, 0.8, 0.1)
-    assert (cfg.q_percent, cfg.epsilon) == (10.0, 0.5)
-    assert (cfg.n_layers, cfg.hidden, cfg.embedding) == (7, 128, 64)
-    assert (cfg.beta1, cfg.beta2) == (0.9, 0.999)
+    hyper, aug = cfg.hyper, cfg.augment
+    assert (hyper.batch_size, hyper.learning_rate, hyper.grad_clip) == (2048, 1e-4, 0.25)
+    assert (hyper.weight_decay, cfg.alpha, aug.delta) == (1e-4, 0.8, 0.1)
+    assert (aug.q_percent, aug.epsilon) == (10.0, 0.5)
+    assert (hyper.n_layers, hyper.hidden, hyper.embedding) == (7, 128, 64)
+    assert (hyper.beta1, hyper.beta2) == (0.9, 0.999)
 
 
 def test_config_unknown_key_rejected():
@@ -42,7 +47,7 @@ def test_config_file_parsing(tmp_path):
     path.write_text("alpha = 0.9  # expectile\nthresholds = 0.1,0.5\n")
     cfg = build_config(path, ["alpha=0.7"])
     assert cfg.alpha == 0.7  # CLI override wins
-    assert cfg.thresholds == (0.1, 0.5)
+    assert cfg.evaluation.thresholds == (0.1, 0.5)
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -55,6 +60,55 @@ def test_config_file_unknown_key(tmp_path):
 def test_config_bad_value_names_key():
     with pytest.raises(ConfigError, match="alpha"):
         build_config(None, ["alpha=high"])
+
+
+def test_every_part_field_is_one_config_key():
+    """Each field of AugmentConfig, NetHyper and EvalConfig is a flat key,
+    listed once in the canonical text, and an override of it lands in its
+    part and nowhere else."""
+    parts = {"augment": AugmentConfig, "hyper": NetHyper, "evaluation": EvalConfig}
+    own = {f.name for f in dataclasses.fields(RunConfig)} - set(parts)
+    names = [f.name for cls in parts.values() for f in dataclasses.fields(cls)]
+    assert len(names) == len(set(names)) and not own & set(names)
+    default = build_config()
+    keys = [line.split(" = ")[0] for line in canonical_config_text(default).splitlines()]
+    assert sorted(keys) == sorted(own - {"out_dir"} | set(names))
+    for part, cls in parts.items():
+        for f in dataclasses.fields(cls):
+            value = getattr(getattr(default, part), f.name)
+            if isinstance(value, bool):
+                changed, raw = not value, str(not value)
+            elif isinstance(value, int):
+                changed, raw = value + 1, str(value + 1)
+            elif isinstance(value, float):
+                changed, raw = value / 2, repr(value / 2)
+            else:
+                changed, raw = value[:1], repr(value[0])
+            cfg = build_config(None, [f"{f.name}={raw}"])
+            assert getattr(cfg, part) == dataclasses.replace(getattr(default, part),
+                                                             **{f.name: changed})
+            assert all(getattr(cfg, other) == getattr(default, other)
+                       for other in parts if other != part)
+
+
+def test_config_file_trains_the_acceptance_model(tmp_path, stitch_dataset):
+    """A config file can express the acceptance gate's NetHyper, including
+    the policy's own weight decay: `gas train` then trains the bits
+    train_gas does on the same corpus."""
+    from test_acceptance import HYPER
+
+    assert HYPER.policy_weight_decay == 0.003
+    lines = [f"{f.name} = {getattr(HYPER, f.name)!r}" for f in dataclasses.fields(NetHyper)]
+    path = tmp_path / "acceptance.cfg"
+    path.write_text("\n".join(lines + ["alpha = 0.9", "seed = 0", "iterations = 20"]) + "\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), f"out_dir={out}"]) == 0
+    expected = train_gas(stitch_dataset, AugmentConfig(), HYPER, 0.9, 20, seed_streams(0))
+    nets, _ = gas.load_goals(out / "goals.ckpt")
+    pol, _ = gas.load_policy(out / "policy.ckpt")
+    for got, want in ((nets.reward_net, expected.nets.reward_net),
+                      (nets.cost_net, expected.nets.cost_net), (pol.net, expected.pol.net)):
+        assert np.array_equal(got.get_flat(), want.get_flat())
 
 
 def test_seed_streams_are_independent_and_stable():
@@ -76,7 +130,7 @@ def test_gen_dataset_writes_loadable_file(tmp_path, capsys):
     out = capsys.readouterr().out
     # histogram: one row per cost bin after the header line
     lines = [l for l in out.splitlines() if l.startswith("[")]
-    assert len(lines) == build_config(None, FAST).cost_bins
+    assert len(lines) == build_config(None, FAST).augment.cost_bins
 
 
 def test_gen_dataset_rejects_zero_trajectories(tmp_path, capsys):
@@ -114,12 +168,10 @@ def test_train_zero_iterations_equals_initialization(tmp_path):
     nets, _ = gas.load_goals(tmp_path / "goals.ckpt")
     cfg = build_config(None, FAST + [f"out_dir={tmp_path}", "iterations=0"])
     data = gas.load_dataset(tmp_path / "dataset.gasdset")
-    from gas.training import NetHyper, build_models
+    from gas.training import build_models
 
     streams = seed_streams(cfg.seed)
-    fresh_nets, _ = build_models(data, NetHyper(cfg.n_layers, cfg.hidden,
-                                                cfg.embedding, cfg.batch_size,
-                                                cfg.learning_rate), streams)
+    fresh_nets, _ = build_models(data, cfg.hyper, streams)
     assert np.array_equal(nets.reward_net.get_flat(), fresh_nets.reward_net.get_flat())
 
 
@@ -190,11 +242,29 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert (target / "dataset.gasdset").exists()
 
 
-@pytest.mark.parametrize("command", ["sweep", "eval", "ablate"])
-def test_empty_thresholds_exit_config_error(tmp_path, capsys, command):
+EVERY_COMMAND = ["sweep", "eval", "ablate", "train", "gen-dataset", "oracle-check"]
+
+
+def _assert_rejected_before_running(tmp_path, capsys, command, override, key):
+    """On a trained run directory, ``command`` with ``override`` exits 1 with
+    an error that names ``key``, and writes nothing."""
+    assert run(tmp_path, "train") == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
     kind = ["--kind=no_tsra"] if command == "ablate" else []
-    assert run(tmp_path, command, "thresholds=", *kind) == 1
-    assert "thresholds" in capsys.readouterr().err
+    assert run(tmp_path, command, override, *kind) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_empty_thresholds_exit_config_error(tmp_path, capsys, command):
+    _assert_rejected_before_running(tmp_path, capsys, command, "thresholds=", "thresholds")
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_out_of_range_delta_exits_config_error(tmp_path, capsys, command):
+    _assert_rejected_before_running(tmp_path, capsys, command, "delta=1.5", "delta")
 
 
 @pytest.mark.parametrize("name", ["goals.ckpt", "policy.ckpt", "dataset.gasdset"])
@@ -291,6 +361,16 @@ def test_oracle_check_rejects_a_corpus_the_checkpoint_was_not_trained_on(tmp_pat
     assert "dataset mismatch" in capsys.readouterr().err
     assert (tmp_path / "dataset.gasdset").read_bytes() == corpus
     assert not (tmp_path / "oracle_check.json").exists()
+
+
+def test_oracle_check_needs_no_policy_checkpoint(tmp_path, capsys):
+    assert run(tmp_path, "train") == 0
+    (tmp_path / "policy.ckpt").unlink()
+    assert run(tmp_path, "oracle-check") in (0, 3)
+    assert (tmp_path / "oracle_check.json").exists()
+    for command in ("eval", "sweep"):  # these still need the policy
+        assert run(tmp_path, command) == 1
+        assert "policy.ckpt" in capsys.readouterr().err
 
 
 def test_oracle_check_missing_dataset_exits_config_error(tmp_path, capsys):

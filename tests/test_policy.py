@@ -35,7 +35,7 @@ def test_policy_weights_match_recomputation(stitch_dataset):
     nets, pol = _models(stitch_dataset, seed=2)
     alpha = 0.8
     *_, adv = goal_loss(batch, nets, alpha)
-    _, _, w = policy_loss(batch, nets, pol, alpha, adv)
+    _, _, w = policy_loss(batch, pol, alpha, adv)
     expected = adv.feasible * np.abs(alpha - (adv.a_r < 0))
     assert np.array_equal(w, expected)
     feasible_pos = adv.feasible & (adv.a_r >= 0)
@@ -53,7 +53,7 @@ def test_policy_infeasible_samples_have_zero_gradient(stitch_dataset):
     *_, adv = goal_loss(batch, nets, 0.8)
     if adv.feasible.all():
         pytest.skip("no infeasible samples drawn")
-    _, grads, w = policy_loss(batch, nets, pol, 0.8, adv=adv)
+    _, grads, w = policy_loss(batch, pol, 0.8, adv=adv)
     # dropping the infeasible samples leaves the gradients untouched
     keep = adv.feasible
     sub = gas.TransitionBatch(
@@ -62,7 +62,7 @@ def test_policy_infeasible_samples_have_zero_gradient(stitch_dataset):
         batch.r_hat[keep], batch.c_hat[keep], batch.from_reshape[keep])
     sub_adv = gas.AdvantagePair(adv.a_r[keep], adv.a_c[keep], adv.feasible[keep],
                                 adv.v_r[keep], adv.v_c[keep])
-    _, grads_sub, _ = policy_loss(sub, nets, pol, 0.8, adv=sub_adv)
+    _, grads_sub, _ = policy_loss(sub, pol, 0.8, adv=sub_adv)
     scale = len(batch) / keep.sum()  # batch-mean renormalization
     for g, gs in zip(flatten_grads(*grads), flatten_grads(*grads_sub)):
         assert g * scale == pytest.approx(gs, rel=1e-9, abs=1e-12)
@@ -73,7 +73,7 @@ def test_policy_gradients_match_finite_differences(stitch_dataset):
     nets, pol = _models(stitch_dataset, hidden=12, seed=5)
     alpha = 0.8
     *_, adv = goal_loss(batch, nets, 0.8)
-    _, grads, w = policy_loss(batch, nets, pol, alpha, adv=adv)
+    _, grads, w = policy_loss(batch, pol, alpha, adv=adv)
 
     def loss_at(flat):
         probe = pol.net.copy()
@@ -187,7 +187,7 @@ def test_train_policy_regresses_to_constant_action(chain_env):
     for _ in range(5000):
         batch = sample_batch(data, None, cfg, 128, streams["batch"], streams["relabel"])
         *_, adv = goal_loss(batch, nets, 0.8)
-        _, grads, _ = policy_loss(batch, nets, pol, 0.8, adv)
+        _, grads, _ = policy_loss(batch, pol, 0.8, adv)
         optim.apply(pol.net, *grads)
     batch = sample_batch(data, None, cfg, 512, np.random.default_rng(0))
     *_, adv = goal_loss(batch, nets, 0.8)
