@@ -17,14 +17,15 @@ import gas
 env = gas.make_env(gas.chainrun_spec(32), seed=0)
 print("ChainRun state after reset:", env.reset())
 
-traj = gas.rollout(env, lambda state, t: 1.0)  # flat out
-print(f"always fast : reward={traj.total_reward:5.1f} cost={traj.total_cost:5.1f}")
+# a rollout is a one-row corpus; total_returns() gives each row's (R, C)
+(reward,), (cost,) = gas.rollout(env, lambda state, t: 1.0).total_returns()  # flat out
+print(f"always fast : reward={reward:5.1f} cost={cost:5.1f}")
 
-traj = gas.rollout(env, lambda state, t: 0.0)  # cruise at the free speed
-print(f"always slow : reward={traj.total_reward:5.1f} cost={traj.total_cost:5.1f}")
+(reward,), (cost,) = gas.rollout(env, lambda state, t: 0.0).total_returns()  # free speed
+print(f"always slow : reward={reward:5.1f} cost={cost:5.1f}")
 
-traj = gas.rollout(env, lambda state, t: 1.0 if t < 8 else 0.0)
-print(f"8 fast, rest: reward={traj.total_reward:5.1f} cost={traj.total_cost:5.1f}")
+(reward,), (cost,) = gas.rollout(env, lambda state, t: 1.0 if t < 8 else 0.0).total_returns()
+print(f"8 fast, rest: reward={reward:5.1f} cost={cost:5.1f}")
 
 # The analytic optimum: spend the budget on full-speed steps, cruise otherwise.
 for budget in (0, 4, 8, 16, 32):
@@ -38,8 +39,8 @@ print("exhaustive check (T=10, budget=4):",
 
 # --- segments via prefix sums -------------------------------------------------
 
-traj = gas.rollout(env, lambda state, t: 1.0 if 10 <= t < 20 else 0.0)
-r_seg, c_seg = traj.segment_return(8, 15)
+episode = gas.rollout(env, lambda state, t: 1.0 if 10 <= t < 20 else 0.0)
+r_seg, c_seg = episode.segment_returns(0, 8, 15)  # row 0, steps 8..15 inclusive
 print(f"\nsegment [8, 15]: reward={r_seg} cost={c_seg}")
 
 # --- GridCircle ---------------------------------------------------------------

@@ -45,6 +45,11 @@ class RunConfig:
     hyper: NetHyper = field(default_factory=NetHyper)
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
+    def __post_init__(self) -> None:
+        for key, least in (("n_traj", 1), ("iterations", 0), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+
 
 _PARTS = {"augment": AugmentConfig, "hyper": NetHyper, "evaluation": EvalConfig}
 # flat config key -> the part that holds it, None for RunConfig's own fields

@@ -10,6 +10,11 @@
   distribution conditional on their cost bin form a favored subset that
   is sampled with probability epsilon.
 
+The corpus is one set of stacked (N, T, .) arrays plus prefix sums along
+time; ``OfflineDataset.segment_returns`` is the one place that turns the
+prefix sums into segment returns. ``rollout`` runs a single actor and
+returns a one-row corpus.
+
 Binary file format: magic ``GASDSET1``, little-endian header, then one
 record per trajectory of contiguous f64 (states, actions, rewards, costs).
 """
@@ -23,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs import (CHAIN_RUN, GRID_CIRCLE, EnvSpec, Trajectory, prefix_sums, rollout_actors,
-                   spec_by_name)
+from .envs import CHAIN_RUN, GRID_CIRCLE, ActionSource, EnvSpec, rollout_actors, spec_by_name
 from .errors import ConfigError, ContractError, SchemaError, parsing
 
 DATASET_MAGIC = b"GASDSET1"
@@ -34,10 +38,17 @@ DATASET_VERSION = 1
 # -- containers --------------------------------------------------------------
 
 
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis with a leading 0: entry k is the
+    sum of the first k values, so [t, gamma] sums to p[gamma+1] - p[t]."""
+    start = np.zeros(values.shape[:-1] + (1,))
+    return np.concatenate([start, np.cumsum(values, axis=-1)], axis=-1)
+
+
 @dataclass
 class OfflineDataset:
-    """N equal-length trajectories, stacked for vectorized sampling;
-    ``trajectories`` are per-episode views of the same arrays."""
+    """N equal-length trajectories, stacked for vectorized sampling, with
+    prefix sums along time for O(1) segment returns."""
 
     env_meta: EnvSpec
     states: np.ndarray = field(repr=False)         # (N, T, d)
@@ -46,7 +57,6 @@ class OfflineDataset:
     costs: np.ndarray = field(repr=False)          # (N, T)
     reward_prefix: np.ndarray = field(repr=False)  # (N, T+1)
     cost_prefix: np.ndarray = field(repr=False)    # (N, T+1)
-    trajectories: list = field(repr=False)
     r_max: float
     c_max: float
 
@@ -56,11 +66,9 @@ class OfflineDataset:
         costs = np.asarray(costs, dtype=np.float64)
         if rewards.shape[0] == 0:
             raise ConfigError("dataset must contain at least one trajectory")
-        states = np.asarray(states, dtype=np.float64)
-        actions = np.asarray(actions, dtype=np.float64)
-        rp, cp = prefix_sums(rewards), prefix_sums(costs)
-        trajectories = [Trajectory(*arrays) for arrays in zip(states, actions, rewards, costs, rp, cp)]
-        return cls(env_meta, states, actions, rewards, costs, rp, cp, trajectories,
+        rp, cp = _prefix_sums(rewards), _prefix_sums(costs)
+        return cls(env_meta, np.asarray(states, dtype=np.float64),
+                   np.asarray(actions, dtype=np.float64), rewards, costs, rp, cp,
                    r_max=float(rp[:, -1].max()), c_max=float(cp[:, -1].max()))
 
     @property
@@ -73,6 +81,18 @@ class OfflineDataset:
 
     def total_returns(self) -> tuple[np.ndarray, np.ndarray]:
         return self.reward_prefix[:, -1].copy(), self.cost_prefix[:, -1].copy()
+
+    def segment_returns(self, traj, t, gamma) -> tuple[np.ndarray, np.ndarray]:
+        """Exact (reward, cost) returns of the inclusive segments [t, gamma]
+        of trajectories ``traj``; integer scalars or arrays that broadcast."""
+        traj, t, gamma = np.asarray(traj), np.asarray(t), np.asarray(gamma)
+        # one mask, not a reduction per bound: the per-call overhead dominates
+        if ((traj < 0) | (traj >= self.n) | (t < 0) | (gamma < t) | (gamma >= self.horizon)).any():
+            raise ContractError(f"segment indices out of range: need 0 <= traj < {self.n} "
+                                f"and 0 <= t <= gamma < {self.horizon}")
+        end = gamma + 1
+        return (self.reward_prefix[traj, end] - self.reward_prefix[traj, t],
+                self.cost_prefix[traj, end] - self.cost_prefix[traj, t])
 
 
 @dataclass
@@ -281,6 +301,11 @@ def generate_offline_dataset(env, mix: BehaviorMix, n_traj: int, seed: int) -> O
     return OfflineDataset.from_arrays(env.spec, *rollout_actors(env, actors))
 
 
+def rollout(env, actor: ActionSource) -> OfflineDataset:
+    """Run ``actor`` for one episode from ``env.reset()``: a one-row corpus."""
+    return OfflineDataset.from_arrays(env.spec, *rollout_actors(env, [actor]))
+
+
 # -- relabeling ---------------------------------------------------------------
 
 
@@ -371,8 +396,7 @@ def sample_batch(dataset: OfflineDataset, reshape: "ReshapeIndex | None",
         gamma = rng.integers(t, T)
     else:
         gamma = np.full(batch_size, T - 1, dtype=np.int64)
-    r_seg = dataset.reward_prefix[traj, gamma + 1] - dataset.reward_prefix[traj, t]
-    c_seg = dataset.cost_prefix[traj, gamma + 1] - dataset.cost_prefix[traj, t]
+    r_seg, c_seg = dataset.segment_returns(traj, t, gamma)
     r_hat, c_hat = relabel(r_seg, c_seg, cfg.delta, dataset.c_max, relabel_rng)
     if not cfg.relabel_cost:
         c_hat = c_seg.copy()
@@ -450,11 +474,7 @@ def load_dataset(path) -> OfflineDataset:
 def export_jsonl(dataset: OfflineDataset, path) -> None:
     """Debug export: one trajectory per line as plain JSON."""
     with open(path, "w") as fh:
-        for traj in dataset.trajectories:
-            fh.write(json.dumps({
-                "states": traj.states.tolist(),
-                "actions": traj.actions.tolist(),
-                "rewards": traj.rewards.tolist(),
-                "costs": traj.costs.tolist(),
-            }, sort_keys=True))
+        for i in range(dataset.n):
+            fh.write(json.dumps({name: getattr(dataset, name)[i].tolist()
+                                 for name in _RECORD_FIELDS}, sort_keys=True))
             fh.write("\n")

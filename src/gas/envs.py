@@ -1,4 +1,4 @@
-"""Deterministic toy constrained environments, trajectories, and rollouts.
+"""Deterministic toy constrained environments and batched rollouts.
 
 Two desk-scale environments with per-step binary costs:
 
@@ -15,7 +15,7 @@ learners see a bounded clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,62 +46,6 @@ def chainrun_spec(episode_length: int = 32) -> EnvSpec:
 
 def gridcircle_spec(episode_length: int = 64) -> EnvSpec:
     return EnvSpec(GRID_CIRCLE, episode_length, state_dim=3, action_dim=2)
-
-
-def prefix_sums(values: np.ndarray) -> np.ndarray:
-    """Running sums along the last axis with a leading 0: entry k is the
-    sum of the first k values, so [t, gamma] sums to p[gamma+1] - p[t]."""
-    start = np.zeros(values.shape[:-1] + (1,))
-    return np.concatenate([start, np.cumsum(values, axis=-1)], axis=-1)
-
-
-@dataclass
-class Trajectory:
-    """Fixed-length episode with prefix sums for O(1) segment returns.
-
-    ``reward_prefix[k]`` is the exact sum of the first k rewards, so the
-    segment return over [t, gamma] is ``reward_prefix[gamma+1] - reward_prefix[t]``.
-    """
-
-    states: np.ndarray        # (T, state_dim)
-    actions: np.ndarray       # (T, action_dim)
-    rewards: np.ndarray       # (T,)
-    costs: np.ndarray         # (T,)
-    reward_prefix: np.ndarray = field(repr=False)  # (T+1,)
-    cost_prefix: np.ndarray = field(repr=False)    # (T+1,)
-
-    @classmethod
-    def from_arrays(cls, states, actions, rewards, costs) -> "Trajectory":
-        rewards = np.asarray(rewards, dtype=np.float64)
-        costs = np.asarray(costs, dtype=np.float64)
-        return cls(
-            states=np.asarray(states, dtype=np.float64),
-            actions=np.asarray(actions, dtype=np.float64),
-            rewards=rewards,
-            costs=costs,
-            reward_prefix=prefix_sums(rewards),
-            cost_prefix=prefix_sums(costs),
-        )
-
-    @property
-    def horizon(self) -> int:
-        return self.rewards.shape[0]
-
-    @property
-    def total_reward(self) -> float:
-        return float(self.reward_prefix[-1])
-
-    @property
-    def total_cost(self) -> float:
-        return float(self.cost_prefix[-1])
-
-    def segment_return(self, t: int, gamma: int) -> tuple[float, float]:
-        """Exact (reward, cost) return of the inclusive segment [t, gamma]."""
-        if not (0 <= t <= gamma < self.horizon):
-            raise ContractError(f"segment indices out of range: t={t}, gamma={gamma}, T={self.horizon}")
-        r = float(self.reward_prefix[gamma + 1] - self.reward_prefix[t])
-        c = float(self.cost_prefix[gamma + 1] - self.cost_prefix[t])
-        return r, c
 
 
 class _ToyEnv:
@@ -211,7 +155,3 @@ def rollout_actors(env, actors: "list[ActionSource]"):
     np.clip(actions, -1.0, 1.0, out=actions)
     return states, actions, rewards, costs
 
-
-def rollout(env, actor: ActionSource) -> Trajectory:
-    """Run ``actor`` for one episode and return the trajectory with prefix sums."""
-    return Trajectory.from_arrays(*(arr[0] for arr in rollout_actors(env, [actor])))

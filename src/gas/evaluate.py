@@ -43,6 +43,9 @@ class EvalConfig:
             raise ConfigError("thresholds must name at least one fraction")
         if not all(0.0 < f <= 1.0 for f in self.thresholds):
             raise ConfigError("thresholds must be fractions in (0, 1]")
+        if not (math.isfinite(self.target_reward_fraction) and self.target_reward_fraction > 0):
+            raise ConfigError(f"target_reward_fraction must be finite and > 0, "
+                              f"got {self.target_reward_fraction}")
 
 
 def reward_target_table(dataset, thresholds=EvalConfig.thresholds) -> dict:

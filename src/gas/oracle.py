@@ -101,10 +101,7 @@ def _matching_segments(dataset: OfflineDataset, probe: ProbeQuery, suffix_only: 
         inside &= np.abs(window[:, :, k] - probe.state[k]) <= probe.state_tolerance[k]
     traj_idx, t = np.nonzero(inside)
     t += earliest
-    end = t + (T - probe.t_prime)                                 # gamma + 1
-    r_seg = dataset.reward_prefix[traj_idx, end] - dataset.reward_prefix[traj_idx, t]
-    c_seg = dataset.cost_prefix[traj_idx, end] - dataset.cost_prefix[traj_idx, t]
-    return r_seg, c_seg
+    return dataset.segment_returns(traj_idx, t, t + (T - 1 - probe.t_prime))
 
 
 def _best_within_budget(r_seg, c_seg, c_hat) -> OracleAnswer:

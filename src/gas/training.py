@@ -45,6 +45,11 @@ class NetHyper:
     lr_final_fraction: float = 1.0
     policy_weight_decay: float = -1.0  # < 0: same as weight_decay
 
+    def __post_init__(self) -> None:
+        for key, least in (("n_layers", 2), ("hidden", 1), ("embedding", 1), ("batch_size", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+
     def optim_hyper(self, weight_decay: "float | None" = None) -> OptimHyper:
         wd = self.weight_decay if weight_decay is None else weight_decay
         return OptimHyper(self.learning_rate, self.beta1, self.beta2, 1e-8,

@@ -178,14 +178,15 @@ def test_train_zero_iterations_equals_initialization(tmp_path):
 def test_eval_missing_checkpoint(tmp_path, capsys):
     code = run(tmp_path, "eval")
     assert code == 1
-    assert "checkpoint" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("config error: missing checkpoint")
 
 
 def test_eval_env_mismatch(tmp_path, capsys):
     assert run(tmp_path, "train") == 0
+    capsys.readouterr()
     code = run(tmp_path, "eval", "env_name=GridCircle", "episode_length=8")
     assert code == 2
-    assert "mismatch" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: env/checkpoint mismatch")
 
 
 def test_sweep_writes_reports_with_one_row_per_threshold(tmp_path):
@@ -265,6 +266,18 @@ def test_empty_thresholds_exit_config_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", EVERY_COMMAND)
 def test_out_of_range_delta_exits_config_error(tmp_path, capsys, command):
     _assert_rejected_before_running(tmp_path, capsys, command, "delta=1.5", "delta")
+
+
+@pytest.mark.parametrize("command, override", [
+    ("train", "n_layers=1"), ("train", "hidden=0"), ("train", "embedding=0"),
+    ("train", "batch_size=-3"), ("train", "batch_size=0"), ("oracle-check", "n_traj=0"),
+    ("train", "iterations=-5"), ("train", "seed=-1"),
+    ("sweep", "target_reward_fraction=nan"), ("eval", "target_reward_fraction=inf"),
+    ("sweep", "target_reward_fraction=0"),
+])
+def test_out_of_range_setting_exits_config_error(tmp_path, capsys, command, override):
+    key = override.split("=")[0]
+    _assert_rejected_before_running(tmp_path, capsys, command, override, key)
 
 
 @pytest.mark.parametrize("name", ["goals.ckpt", "policy.ckpt", "dataset.gasdset"])
@@ -384,6 +397,7 @@ def test_oracle_check_missing_dataset_exits_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["sweep", "oracle-check"])
 def test_episode_length_mismatch_exits_runtime_error(tmp_path, capsys, command):
     assert run(tmp_path, "train") == 0  # episode_length=8
+    capsys.readouterr()
     assert run(tmp_path, command, "episode_length=16") == 2
-    assert "mismatch" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: env/checkpoint mismatch")
     assert not (tmp_path / f"{command.replace('-', '_')}.json").exists()

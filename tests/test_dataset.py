@@ -82,12 +82,14 @@ def test_rollout_equals_row_of_batched_generation(monkeypatch, spec, mix):
     monkeypatch.setattr(gas.dataset, "rollout_actors", capture)
     env = gas.make_env(spec)
     data = generate_offline_dataset(env, mix, 24, seed=5)
+    monkeypatch.undo()  # ``rollout`` steps through rollout_actors too
     single = gas.make_env(spec)
     assert len(actors) == data.n
-    for actor, row in zip(actors, data.trajectories):
-        traj = gas.rollout(single, actor)
+    for i, actor in enumerate(actors):
+        episode = gas.rollout(single, actor)
+        assert episode.n == 1
         for name in ("states", "actions", "rewards", "costs", "reward_prefix", "cost_prefix"):
-            assert getattr(traj, name).tobytes() == getattr(row, name).tobytes()
+            assert getattr(episode, name)[0].tobytes() == getattr(data, name)[i].tobytes()
     assert single.clamp_warnings == env.clamp_warnings
 
 
@@ -115,23 +117,43 @@ def test_stitch_mix_spans_costs(stitch_dataset):
 
 # -- segment returns ----------------------------------------------------------
 
+def _one_row(rewards, costs):
+    T = len(rewards)
+    return gas.OfflineDataset.from_arrays(gas.EnvSpec("ChainRun", T, 1, 1), np.zeros((1, T, 1)),
+                                          np.zeros((1, T, 1)), [rewards], [costs])
+
+
 def test_segment_return_examples():
-    traj = gas.Trajectory.from_arrays(
-        np.zeros((3, 1)), np.zeros((3, 1)), [1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
-    assert traj.segment_return(0, 2) == (6.0, 1.0)
-    assert traj.segment_return(1, 1) == (2.0, 1.0)
-    with pytest.raises(ContractError):
-        traj.segment_return(2, 1)
+    data = _one_row([1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
+    assert data.segment_returns(0, 0, 2) == (6.0, 1.0)
+    assert data.segment_returns(0, 1, 1) == (2.0, 1.0)
+    r, c = data.segment_returns([0, 0, 0], [0, 1, 2], 2)
+    assert r.tolist() == [6.0, 5.0, 3.0] and c.tolist() == [1.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("traj, t, gamma", [(0, 2, 1), (0, -1, 1), (0, 0, 3), (0, 3, 3),
+                                            (1, 0, 0), (-1, 0, 0), ([0, 0], [0, 1], [2, 0])],
+                         ids=["gamma_before_t", "negative_t", "gamma_past_end", "t_past_end",
+                              "traj_past_end", "negative_traj", "one_bad_row"])
+def test_segment_returns_rejects_out_of_range(traj, t, gamma):
+    with pytest.raises(ContractError, match="out of range"):
+        _one_row([1.0, 2.0, 3.0], [0.0, 1.0, 0.0]).segment_returns(traj, t, gamma)
 
 
 def test_segment_return_matches_loop_sum(stitch_dataset, rng):
-    for _ in range(1000):
-        traj = stitch_dataset.trajectories[int(rng.integers(0, stitch_dataset.n))]
-        t = int(rng.integers(0, traj.horizon))
-        g = int(rng.integers(t, traj.horizon))
-        r, c = traj.segment_return(t, g)
-        assert r == pytest.approx(np.sum(traj.rewards[t:g + 1]), rel=1e-12, abs=1e-12)
-        assert c == np.sum(traj.costs[t:g + 1])
+    """On a ChainRun and a GridCircle corpus, segment returns equal direct
+    loop sums: bitwise for the integer-valued costs, to 1e-12 for rewards."""
+    grid = gas.make_env(gas.gridcircle_spec(64))
+    for data in (stitch_dataset, generate_offline_dataset(grid, gas.dataset.gridcircle_mix(),
+                                                          50, seed=4)):
+        traj = rng.integers(0, data.n, size=1000)
+        t = rng.integers(0, data.horizon, size=1000)
+        g = rng.integers(t, data.horizon)
+        r, c = data.segment_returns(traj, t, g)
+        loop_r = np.array([np.sum(data.rewards[i, a:b + 1]) for i, a, b in zip(traj, t, g)])
+        loop_c = np.array([np.sum(data.costs[i, a:b + 1]) for i, a, b in zip(traj, t, g)])
+        assert r == pytest.approx(loop_r, rel=1e-12, abs=1e-12)
+        assert c.tobytes() == loop_c.tobytes()
 
 
 # -- relabeling ---------------------------------------------------------------
@@ -270,7 +292,7 @@ def test_sample_batch_segment_consistency(stitch_dataset, rng):
                    if np.array_equal(stitch_dataset.states[j, t], batch.states[i])
                    and np.array_equal(stitch_dataset.actions[j, t], batch.actions[i])]
         assert matches, f"sample {i} matches no trajectory at t={t}"
-        segments = {stitch_dataset.trajectories[j].segment_return(t, gamma) for j in matches}
+        segments = set(zip(*(x.tolist() for x in stitch_dataset.segment_returns(matches, t, gamma))))
         assert (float(batch.r_seg[i]), float(batch.c_seg[i])) in segments
         assert batch.r_seg[i] <= stitch_dataset.r_max + 1e-9
         assert batch.c_seg[i] <= batch.c_hat[i] + 1e-12
@@ -345,5 +367,8 @@ def test_jsonl_export(tmp_path, block_dataset):
     export_jsonl(block_dataset, path)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == block_dataset.n
-    first = json.loads(lines[0])
-    assert np.allclose(first["rewards"], block_dataset.trajectories[0].rewards)
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        assert sorted(record) == ["actions", "costs", "rewards", "states"]
+        for name, value in record.items():
+            assert value == getattr(block_dataset, name)[i].tolist()

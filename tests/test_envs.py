@@ -78,12 +78,10 @@ def test_gridcircle_step_geometry():
 
 
 def test_rollout_totals(chain_env):
-    traj = gas.rollout(chain_env, lambda s, t: 1.0)
-    assert traj.total_reward == 32.0 and traj.total_cost == 32.0
-    traj = gas.rollout(chain_env, lambda s, t: 0.0)
-    assert traj.total_reward == 16.0 and traj.total_cost == 0.0
-    traj = gas.rollout(chain_env, lambda s, t: 1.0 if t < 8 else 0.0)
-    assert traj.total_reward == 20.0 and traj.total_cost == 8.0
+    for actor, reward, cost in ((lambda s, t: 1.0, 32.0, 32.0), (lambda s, t: 0.0, 16.0, 0.0),
+                                (lambda s, t: 1.0 if t < 8 else 0.0, 20.0, 8.0)):
+        rewards, costs = gas.rollout(chain_env, actor).total_returns()
+        assert rewards.tolist() == [reward] and costs.tolist() == [cost]
 
 
 def test_rollout_determinism_bitwise(chain_env):
@@ -102,21 +100,22 @@ def test_prefix_sum_consistency(chain_env, rng):
     """Segment returns from prefix arrays equal direct loop sums to machine
     precision (bitwise for the integer-valued costs)."""
     table = rng.uniform(-1, 1, size=32)
-    traj = gas.rollout(chain_env, lambda s, t: table[t])
-    T = traj.horizon
-    for _ in range(300):
-        t = int(rng.integers(0, T))
-        g = int(rng.integers(t, T))
-        r, c = traj.segment_return(t, g)
-        assert r == pytest.approx(np.sum(traj.rewards[t:g + 1]), rel=1e-12, abs=1e-12)
-        assert c == np.sum(traj.costs[t:g + 1])
+    episode = gas.rollout(chain_env, lambda s, t: table[t])
+    T = episode.horizon
+    t = rng.integers(0, T, size=300)
+    g = rng.integers(t, T)
+    r, c = episode.segment_returns(0, t, g)
+    loop_r = np.array([np.sum(episode.rewards[0, a:b + 1]) for a, b in zip(t, g)])
+    loop_c = np.array([np.sum(episode.costs[0, a:b + 1]) for a, b in zip(t, g)])
+    assert r == pytest.approx(loop_r, rel=1e-12, abs=1e-12)
+    assert c.tobytes() == loop_c.tobytes()
 
 
 def test_trajectory_prefix_shape(chain_env):
-    traj = gas.rollout(chain_env, lambda s, t: 0.0)
-    assert traj.reward_prefix.shape == (33,)
-    assert traj.reward_prefix[0] == 0.0
-    assert traj.reward_prefix[-1] == traj.total_reward
+    episode = gas.rollout(chain_env, lambda s, t: 0.0)
+    assert episode.reward_prefix.shape == (1, 33)
+    assert episode.reward_prefix[0, 0] == 0.0
+    assert episode.reward_prefix[0, -1] == episode.rewards.sum() == 16.0
 
 
 def test_chainrun_analytic_optimum_exhaustive():
