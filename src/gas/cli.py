@@ -10,6 +10,8 @@ directory. Exit codes: 0 success, 1 config error, 2 runtime error,
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import os
 import sys
@@ -25,8 +27,7 @@ from .config import (RunConfig, build_config, canonical_config_text,
 from .envs import make_env, spec_by_name
 from .errors import ConfigError, GasError, SchemaError
 from .goals import load_goals, save_goals
-from .oracle import (ProbeQuery, brute_force_goals, default_state_tolerance,
-                     probe_grid_from_dataset)
+from .oracle import _brute_force_views, default_state_tolerance, probe_grid_from_dataset
 from .policy import load_policy, save_policy
 from .training import train_gas
 
@@ -110,7 +111,7 @@ def cmd_train(cfg: RunConfig) -> int:
         "config": json.loads(json.dumps(canonical_config_text(cfg))),
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
-        "inputs": {"dataset": sha256_file(dataset_path)},
+        "inputs": {"dataset": meta["dataset_sha256"]},
         "outputs": {"goals.ckpt": sha256_file(goals_path),
                     "policy.ckpt": sha256_file(policy_path),
                     "loss.csv": sha256_file(out / "loss.csv")},
@@ -133,11 +134,16 @@ def _checkpoint_path(out: Path, name: str) -> Path:
     return path
 
 
+def _sha256(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
+
+
 def _load_trained_goals(cfg: RunConfig, out: Path):
-    """The goal nets and training metadata of ``out/goals.ckpt``, checked
-    against the run's env."""
+    """The goal nets, training metadata and file bytes of ``out/goals.ckpt``,
+    checked against the run's env."""
     goals_path = _checkpoint_path(out, "goals.ckpt")
-    nets, gmeta = load_goals(goals_path)
+    raw = goals_path.read_bytes()
+    nets, gmeta = load_goals(goals_path, raw)
     missing = set(_TRAIN_META_KEYS) - set(gmeta)
     if missing:
         raise SchemaError(f"{goals_path} metadata lacks {sorted(missing)}")
@@ -147,7 +153,7 @@ def _load_trained_goals(cfg: RunConfig, out: Path):
     if run != trained:
         raise GasError(f"env/checkpoint mismatch (env, state_dim, episode_length): "
                        f"run is {run}, checkpoint is {trained}")
-    return nets, gmeta
+    return nets, gmeta, raw
 
 
 # the gate that sets the exit code: eval checks the cost budgets only,
@@ -160,10 +166,11 @@ def cmd_evaluate(cfg: RunConfig, command: str) -> int:
     thresholds and write <command>.csv / <command>.json."""
     out = _out_dir(cfg)
     policy_path = _checkpoint_path(out, "policy.ckpt")
-    nets, meta = _load_trained_goals(cfg, out)
-    pol, _ = load_policy(policy_path)
+    nets, meta, goals_raw = _load_trained_goals(cfg, out)
+    policy_raw = policy_path.read_bytes()
+    pol, _ = load_policy(policy_path, policy_raw)
     env = make_env(spec_by_name(cfg.env_name, cfg.episode_length))
-    ckpt_hash = {name: sha256_file(out / name) for name in ("goals.ckpt", "policy.ckpt")}
+    ckpt_hash = {"goals.ckpt": _sha256(goals_raw), "policy.ckpt": _sha256(policy_raw)}
     report = evaluate(pol, nets, env, cfg.evaluation, meta["r_max"], meta["c_max"],
                       metadata={"checkpoint_hash": ckpt_hash, "alpha": meta["alpha"],
                                 "delta": meta["delta"], "q_percent": meta["q_percent"],
@@ -205,9 +212,10 @@ def _checkpoint_dataset(cfg: RunConfig, out: Path, meta: dict) -> ds.OfflineData
     path = Path(cfg.dataset_path) if cfg.dataset_path else out / "dataset.gasdset"
     if not path.exists():
         raise ConfigError(f"missing dataset: {path}")
-    if sha256_file(path) != meta.get("dataset_sha256"):
+    raw = path.read_bytes()
+    if _sha256(raw) != meta.get("dataset_sha256"):
         raise GasError(f"dataset mismatch: {path} is not the corpus the checkpoint was trained on")
-    data = ds.load_dataset(path)
+    data = ds.load_dataset(path, raw)
     if not cfg.dataset_path and data.n != cfg.n_traj:
         raise GasError(f"dataset mismatch: run has n_traj={cfg.n_traj}, "
                        f"the checkpoint's corpus {path} has {data.n}")
@@ -219,34 +227,36 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     checkpoint's own corpus and check that augmented segments dominate
     trajectory suffixes."""
     out = _out_dir(cfg)
-    nets, meta = _load_trained_goals(cfg, out)
+    nets, meta, _ = _load_trained_goals(cfg, out)
     data = _checkpoint_dataset(cfg, out, meta)
     T = data.horizon
     times = [t for t in (0, T // 4, T // 2, 3 * T // 4) if t < T]
     budgets = [data.c_max * f for f in (0.125, 0.25, 0.5, 1.0)]
     traj_ids = list(range(0, data.n, max(1, data.n // 4)))[:4]
     probes = probe_grid_from_dataset(data, traj_ids, times, budgets)
-    answers = brute_force_goals(data, probes)
-    feasible = [(p, a) for p, a in zip(probes, answers) if a.feasible]
+    # the dominance views match on position only; every view shares one
+    # gather per (state, t') group
+    wide = default_state_tolerance(data.env_meta).copy()
+    wide[-1] = 1.0
+    answers, augmented, suffixes = _brute_force_views(
+        data, probes, [(None, False), (wide, False), (wide, True)])
+    feasible = [k for k, answer in enumerate(answers) if answer.feasible]
     total = len(feasible)
     agree = 0
     dominance_ok = True
     if feasible:
         # one goal-net forward for every feasible probe, asked with r_hat = k
-        states = np.stack([p.state for p, _ in feasible])
-        t_prime = np.array([float(p.t_prime) for p, _ in feasible])
-        c_hat = np.array([p.c_hat for p, _ in feasible])
+        states = np.stack([probes[k].state for k in feasible])
+        t_prime = np.array([float(probes[k].t_prime) for k in feasible])
+        c_hat = np.array([probes[k].c_hat for k in feasible])
         v_r, _ = nets.values(states, 1.0 * (T - t_prime), c_hat, t_prime)
-        agree = sum(abs(value - a.v_r_star) / max(abs(a.v_r_star), 1e-8) <= 0.10
-                    for value, (_, a) in zip(v_r.tolist(), feasible))
-        # augmented segments must dominate trajectory suffixes, matching on position only
-        wide = default_state_tolerance(data.env_meta).copy()
-        wide[-1] = 1.0
-        wide_probes = [ProbeQuery(p.state, p.t_prime, p.c_hat, wide) for p, _ in feasible]
-        augmented = brute_force_goals(data, wide_probes)
-        suffixes = brute_force_goals(data, wide_probes, suffix_only=True)
-        dominance_ok = not any(aug.feasible and suf.feasible and aug.v_r_star < suf.v_r_star - 1e-9
-                               for aug, suf in zip(augmented, suffixes))
+        v_r_star = [answers[k].v_r_star for k in feasible]
+        agree = sum(abs(value - star) / max(abs(star), 1e-8) <= 0.10
+                    for value, star in zip(v_r.tolist(), v_r_star))
+        # augmented segments must dominate trajectory suffixes
+        dominance_ok = not any(augmented[k].feasible and suffixes[k].feasible
+                               and augmented[k].v_r_star < suffixes[k].v_r_star - 1e-9
+                               for k in feasible)
     frac = agree / total if total else 0.0
     payload = {"probes": len(probes), "feasible": total,
                "agreement_fraction": frac, "dominance_ok": dominance_ok}
@@ -257,6 +267,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_ACCEPTANCE
 
 
+@functools.cache  # one parser per process: building it costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gas",

@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import AugmentConfig
 from .errors import ConfigError
 from .evaluate import EvalConfig
-from .training import NetHyper
+from .training import SCHEDULES, NetHyper
 
 
 @dataclass
@@ -49,6 +49,11 @@ class RunConfig:
         for key, least in (("n_traj", 1), ("iterations", 0), ("seed", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        if not 0.0 < self.alpha < 1.0:  # also rejects nan
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.schedule not in SCHEDULES:
+            raise ConfigError(f"schedule must be one of {', '.join(SCHEDULES)}, "
+                              f"got {self.schedule!r}")
 
 
 _PARTS = {"augment": AugmentConfig, "hyper": NetHyper, "evaluation": EvalConfig}

@@ -25,6 +25,7 @@ import io
 import json
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -441,10 +442,10 @@ def save_dataset(dataset: OfflineDataset, path) -> None:
         fh.write(records)
 
 
-def load_dataset(path) -> OfflineDataset:
-    """Read a dataset file; a truncated or corrupt file raises SchemaError."""
-    with open(path, "rb") as raw:
-        fh = io.BytesIO(raw.read())
+def load_dataset(path, raw: "bytes | None" = None) -> OfflineDataset:
+    """Read a dataset file; a truncated or corrupt file raises SchemaError.
+    Parses ``raw``, the file's bytes already read, when given."""
+    fh = io.BytesIO(Path(path).read_bytes() if raw is None else raw)
     with parsing(f"dataset {path}"):
         magic = fh.read(8)
         if magic != DATASET_MAGIC:

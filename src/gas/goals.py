@@ -17,6 +17,7 @@ import io
 import json
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -179,10 +180,10 @@ def write_bundle(path, tagged_nets: dict, norm: InputNorm, meta: dict) -> None:
             fh.write(blob)
 
 
-def read_bundle(path) -> tuple[dict, InputNorm, dict]:
-    """Returns ({tag: Mlp}, norm, metadata); a corrupt file raises SchemaError."""
-    with open(path, "rb") as raw:
-        fh = io.BytesIO(raw.read())
+def read_bundle(path, raw: "bytes | None" = None) -> tuple[dict, InputNorm, dict]:
+    """Returns ({tag: Mlp}, norm, metadata); a corrupt file raises SchemaError.
+    Parses ``raw``, the file's bytes already read, when given."""
+    fh = io.BytesIO(Path(path).read_bytes() if raw is None else raw)
     with parsing(f"checkpoint bundle {path}"):
         magic = fh.read(8)
         if magic != BUNDLE_MAGIC:
@@ -206,8 +207,8 @@ def save_goals(path, nets: GoalNets, meta: dict) -> None:
     write_bundle(path, {"reward": nets.reward_net, "cost": nets.cost_net}, nets.norm, meta)
 
 
-def load_goals(path) -> tuple[GoalNets, dict]:
-    tagged, norm, meta = read_bundle(path)
+def load_goals(path, raw: "bytes | None" = None) -> tuple[GoalNets, dict]:
+    tagged, norm, meta = read_bundle(path, raw)
     if set(tagged) != {"reward", "cost"}:
         raise SchemaError(f"goal bundle must contain reward+cost nets, got {sorted(tagged)}")
     return GoalNets(tagged["reward"], tagged["cost"], norm), meta

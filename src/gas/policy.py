@@ -124,8 +124,8 @@ def save_policy(path, pol: PolicyNet, meta: dict) -> None:
     write_bundle(path, {"policy": pol.net}, pol.norm, meta)
 
 
-def load_policy(path) -> tuple[PolicyNet, dict]:
-    tagged, norm, meta = read_bundle(path)
+def load_policy(path, raw: "bytes | None" = None) -> tuple[PolicyNet, dict]:
+    tagged, norm, meta = read_bundle(path, raw)
     if set(tagged) != {"policy"}:
         raise SchemaError(f"policy bundle must contain exactly one policy net, got {sorted(tagged)}")
     with parsing(f"policy bundle {path}"):

@@ -10,6 +10,7 @@ ablation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,8 @@ class NetHyper:
     """Architecture and optimizer settings shared by the three nets.
 
     ``lr_final_fraction`` < 1 decays the learning rate linearly to that
-    fraction of its initial value over the run; 1.0 keeps it constant.
+    fraction of its initial value over the run; 1.0 or more keeps it
+    constant. ``grad_clip`` <= 0 turns gradient clipping off.
     """
 
     n_layers: int = 7
@@ -49,6 +51,27 @@ class NetHyper:
         for key, least in (("n_layers", 2), ("hidden", 1), ("embedding", 1), ("batch_size", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        lr = self.learning_rate
+
+        def decays(d):  # keeps the decay factor 1 - lr * d positive
+            return 0 <= d and lr * d < 1
+
+        decay_rule = "finite, >= 0 and below 1/learning_rate"
+        # key -> (its range, whether the value is in it); nan is in none
+        ranges = {
+            "learning_rate": ("finite and > 0", 0 < lr < math.inf),
+            "beta1": ("in [0, 1)", 0 <= self.beta1 < 1),
+            "beta2": ("in [0, 1)", 0 <= self.beta2 < 1),
+            "lr_final_fraction": ("finite and >= 0", 0 <= self.lr_final_fraction < math.inf),
+            "grad_clip": ("a number (<= 0 turns clipping off)", not math.isnan(self.grad_clip)),
+            "weight_decay": (decay_rule, decays(self.weight_decay)),
+            "policy_weight_decay": ("< 0 (same as weight_decay) or " + decay_rule,
+                                    self.policy_weight_decay < 0
+                                    or decays(self.policy_weight_decay)),
+        }
+        for key, (rule, ok) in ranges.items():
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")
 
     def optim_hyper(self, weight_decay: "float | None" = None) -> OptimHyper:
         wd = self.weight_decay if weight_decay is None else weight_decay

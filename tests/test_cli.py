@@ -1,4 +1,8 @@
+import argparse
+import builtins
+import collections
 import dataclasses
+import io
 import json
 import os
 from pathlib import Path
@@ -274,10 +278,52 @@ def test_out_of_range_delta_exits_config_error(tmp_path, capsys, command):
     ("train", "iterations=-5"), ("train", "seed=-1"),
     ("sweep", "target_reward_fraction=nan"), ("eval", "target_reward_fraction=inf"),
     ("sweep", "target_reward_fraction=0"),
+    ("train", "alpha=1.0"), ("train", "alpha=nan"), ("sweep", "alpha=0"),
+    ("train", "schedule=bogus"),
+    ("train", "learning_rate=-1"), ("train", "learning_rate=nan"), ("train", "beta1=1.5"),
+    ("train", "beta2=1"), ("train", "lr_final_fraction=-2"), ("train", "weight_decay=-0.1"),
+    ("train", "weight_decay=1000"),  # learning_rate * weight_decay = 1: no decay factor left
+    ("train", "policy_weight_decay=nan"), ("train", "grad_clip=nan"),
 ])
 def test_out_of_range_setting_exits_config_error(tmp_path, capsys, command, override):
     key = override.split("=")[0]
     _assert_rejected_before_running(tmp_path, capsys, command, override, key)
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["gen-dataset", "no_such_key=1"]) == 1
+    first = len(built)  # 0 when an earlier call in this process built it
+    assert main(["gen-dataset", "no_such_key=1"]) == 1
+    assert len(built) == first, built
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("oracle-check", ["goals.ckpt", "dataset.gasdset"]),
+    ("sweep", ["goals.ckpt", "policy.ckpt"]),
+])
+def test_each_input_file_is_opened_once(tmp_path, monkeypatch, command, inputs):
+    """The bytes a command hashes are the bytes it parses: one read per file."""
+    assert run(tmp_path, "train") == 0
+    opened = collections.Counter()
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened[Path(file).name] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)  # what pathlib opens through
+    assert run(tmp_path, command) in (0, 3)
+    assert {name: opened[name] for name in inputs} == {name: 1 for name in inputs}
 
 
 @pytest.mark.parametrize("name", ["goals.ckpt", "policy.ckpt", "dataset.gasdset"])

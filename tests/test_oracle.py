@@ -3,8 +3,8 @@ import pytest
 
 import gas
 from gas.errors import ContractError
-from gas.oracle import (OracleAnswer, ProbeQuery, brute_force_goal, brute_force_goals,
-                        chainrun_optimum, chainrun_optimum_exhaustive,
+from gas.oracle import (OracleAnswer, ProbeQuery, _brute_force_views, brute_force_goal,
+                        brute_force_goals, chainrun_optimum, chainrun_optimum_exhaustive,
                         default_state_tolerance, probe_grid_from_dataset)
 
 
@@ -155,18 +155,40 @@ def _tie_dataset():
                                           [[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.5, 0.0]])
 
 
+def _near_tie_dataset():
+    """Three trajectories through the same states: the second's return lies
+    4e-13 below the first's at a lower cost, the third's 3e-12 below."""
+    T = 4
+    states = np.arange(T, dtype=float).reshape(T, 1)
+    actions = np.zeros((T, 1))
+    spec = gas.EnvSpec("ChainRun", T, 1, 1)
+    return gas.OfflineDataset.from_arrays(spec, [states] * 3, [actions] * 3,
+                                          [[1.0, 0.5, 1.0, 0.5], [1.0, 0.5, 1.0, 0.5 - 4e-13],
+                                           [1.0, 0.5, 1.0 - 3e-12, 0.5]],
+                                          [[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.5, 0.0],
+                                           [0.0, 0.0, 0.0, 0.0]])
+
+
 def _probe_set(data, rng):
     """Probes at dataset states for t' = 0, T-1 and between, at budgets from
-    below every segment cost to C_max, plus one unmatched state; repeated
-    in part and shuffled."""
+    below every segment cost to C_max, at nan (which admits no segment) and
+    at exactly the cost of a segment each probe matches, plus one unmatched
+    state; repeated in part and shuffled."""
     T = data.horizon
     tol = default_state_tolerance(data.env_meta)
     if tol.size != data.states.shape[-1]:  # the hand-built corpora have a 1-wide state
         tol = np.array([0.1])
     times = sorted({0, T // 3, T // 2, T - 1})
     traj_ids = sorted({0, data.n // 2, data.n - 1})
-    budgets = [-1.0, 0.0, 0.3 * data.c_max, 0.7 * data.c_max, data.c_max]
+    budgets = [-1.0, 0.0, 0.3 * data.c_max, 0.7 * data.c_max, data.c_max, np.nan]
     probes = probe_grid_from_dataset(data, traj_ids, times, budgets, tol)
+    # a budget equal to the cost of the probe's own segment [t, T-1] and of
+    # another trajectory's segment: the boundary of the segments within it
+    for i in traj_ids:
+        for t in times:
+            for j in (i, (i + 1) % data.n):
+                _, cost = data.segment_returns(j, t, T - 1)
+                probes.append(ProbeQuery(data.states[i, t], t, float(cost), tol))
     # the same states asked at another t'
     probes += [ProbeQuery(p.state, (p.t_prime + T // 2) % T, p.c_hat, tol) for p in probes[::4]]
     far = data.states[0, 0] + 100.0
@@ -186,11 +208,12 @@ def test_batched_answers_equal_single_probe_reference(stitch_dataset, rng):
     corpora = {"stitch": stitch_dataset,
                "gridcircle": gas.generate_offline_dataset(
                    grid_env, gas.mix_by_name("default", gas.GRID_CIRCLE), 30, seed=4),
-               "tie": _tie_dataset()}
-    seen = {"unmatched": 0, "over budget": 0, "feasible": 0}
+               "tie": _tie_dataset(), "near tie": _near_tie_dataset()}
+    seen = {"unmatched": 0, "over budget": 0, "feasible": 0, "budget at a segment cost": 0}
     for name, data in corpora.items():
         narrow = _probe_set(data, rng)
         wide = _widen(narrow)
+        # narrow and wide probes of one (state, t') share a gather in both boxes
         mixed = [(narrow + wide)[i] for i in rng.permutation(2 * len(narrow))]
         for probes in (narrow, wide, mixed):
             for suffix_only in (False, True):
@@ -201,7 +224,24 @@ def test_batched_answers_equal_single_probe_reference(stitch_dataset, rng):
                     assert brute_force_goal(data, probe, suffix_only) == answer
                     seen["feasible" if answer.feasible else
                          "over budget" if answer.support_count else "unmatched"] += 1
+                    seen["budget at a segment cost"] += answer.v_c_star == probe.c_hat
+        # oracle-check's three views, from one gather per (state, t') group
+        box = wide[0].state_tolerance
+        views = _brute_force_views(data, narrow, [(None, False), (box, False), (box, True)])
+        for probe, wide_probe, *answers in zip(narrow, wide, *views):
+            assert answers == [_reference_brute_force_goal(data, probe),
+                               _reference_brute_force_goal(data, wide_probe),
+                               _reference_brute_force_goal(data, wide_probe, True)], name
     assert min(seen.values()) > 0, seen
+    # the near tie at the start state: returns 3.0 at cost 2, 3.0 - 4e-13 at cost
+    # 0.5 and 3.0 - 3e-12 at cost 0; only the second is within 1e-12 of the first
+    near = corpora["near tie"]
+    r, c = near.total_returns()
+    assert r[0] == 3.0 and 0 < r[0] - r[1] <= 1e-12 < r[0] - r[2]
+    assert [brute_force_goal(near, ProbeQuery(np.zeros(1), 0, c_hat, np.array([0.1])))
+            for c_hat in (10.0, 0.5, 0.4999)] == [OracleAnswer(r[0], c[1], 3, True),
+                                                  OracleAnswer(r[1], c[1], 3, True),
+                                                  OracleAnswer(r[2], c[2], 3, True)]
     # the tie at the start state: both trajectories earn 3.0, the cheaper costs 0.5
     tie = brute_force_goals(corpora["tie"], [ProbeQuery(np.zeros(1), 0, 10.0, np.array([0.1]))])
     assert tie == [OracleAnswer(3.0, 0.5, 2, True)]
