@@ -27,7 +27,7 @@ from .config import (RunConfig, build_config, canonical_config_text,
 from .envs import make_env, spec_by_name
 from .errors import ConfigError, GasError, SchemaError
 from .goals import load_goals, save_goals
-from .oracle import _brute_force_views, default_state_tolerance, probe_grid_from_dataset
+from .oracle import brute_force_goals, probe_grid_from_dataset
 from .policy import load_policy, save_policy
 from .training import train_gas
 
@@ -224,8 +224,8 @@ def _checkpoint_dataset(cfg: RunConfig, out: Path, meta: dict) -> ds.OfflineData
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
     """Compare trained goal nets against the brute-force oracle on the
-    checkpoint's own corpus and check that augmented segments dominate
-    trajectory suffixes."""
+    checkpoint's own corpus: the share of feasible probes where V^R is within
+    10% of the oracle's best reward."""
     out = _out_dir(cfg)
     nets, meta, _ = _load_trained_goals(cfg, out)
     data = _checkpoint_dataset(cfg, out, meta)
@@ -234,16 +234,10 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     budgets = [data.c_max * f for f in (0.125, 0.25, 0.5, 1.0)]
     traj_ids = list(range(0, data.n, max(1, data.n // 4)))[:4]
     probes = probe_grid_from_dataset(data, traj_ids, times, budgets)
-    # the dominance views match on position only; every view shares one
-    # gather per (state, t') group
-    wide = default_state_tolerance(data.env_meta).copy()
-    wide[-1] = 1.0
-    answers, augmented, suffixes = _brute_force_views(
-        data, probes, [(None, False), (wide, False), (wide, True)])
+    answers = brute_force_goals(data, probes)
     feasible = [k for k, answer in enumerate(answers) if answer.feasible]
     total = len(feasible)
     agree = 0
-    dominance_ok = True
     if feasible:
         # one goal-net forward for every feasible probe, asked with r_hat = k
         states = np.stack([probes[k].state for k in feasible])
@@ -253,18 +247,12 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
         v_r_star = [answers[k].v_r_star for k in feasible]
         agree = sum(abs(value - star) / max(abs(star), 1e-8) <= 0.10
                     for value, star in zip(v_r.tolist(), v_r_star))
-        # augmented segments must dominate trajectory suffixes
-        dominance_ok = not any(augmented[k].feasible and suffixes[k].feasible
-                               and augmented[k].v_r_star < suffixes[k].v_r_star - 1e-9
-                               for k in feasible)
     frac = agree / total if total else 0.0
-    payload = {"probes": len(probes), "feasible": total,
-               "agreement_fraction": frac, "dominance_ok": dominance_ok}
+    payload = {"probes": len(probes), "feasible": total, "agreement_fraction": frac}
     (out / "oracle_check.json").write_text(
         json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     print(json.dumps(payload, sort_keys=True))
-    passed = dominance_ok and frac >= 0.9
-    return EXIT_OK if passed else EXIT_ACCEPTANCE
+    return EXIT_OK if frac >= 0.9 else EXIT_ACCEPTANCE
 
 
 @functools.cache  # one parser per process: building it costs about 1 ms

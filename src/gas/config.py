@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import AugmentConfig
+from .dataset import AugmentConfig, mix_by_name
+from .envs import spec_by_name
 from .errors import ConfigError
 from .evaluate import EvalConfig
 from .training import SCHEDULES, NetHyper
@@ -46,6 +47,8 @@ class RunConfig:
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self) -> None:
+        spec_by_name(self.env_name, self.episode_length)  # a known env, episode_length >= 2
+        mix_by_name(self.behavior_mix, self.env_name)  # a known mix the env can run
         for key, least in (("n_traj", 1), ("iterations", 0), ("seed", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")

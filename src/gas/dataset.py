@@ -68,6 +68,11 @@ class OfflineDataset:
         if rewards.shape[0] == 0:
             raise ConfigError("dataset must contain at least one trajectory")
         rp, cp = _prefix_sums(rewards), _prefix_sums(costs)
+        # a non-finite value, or a sum that overflows, makes every later
+        # running sum non-finite, so the totals show it
+        for key, prefix in (("rewards", rp), ("costs", cp)):
+            if not np.isfinite(prefix[:, -1]).all():
+                raise ConfigError(f"{key} must be finite, and so must their sums")
         return cls(env_meta, np.asarray(states, dtype=np.float64),
                    np.asarray(actions, dtype=np.float64), rewards, costs, rp, cp,
                    r_max=float(rp[:, -1].max()), c_max=float(cp[:, -1].max()))
@@ -215,6 +220,9 @@ def gridcircle_mix() -> BehaviorMix:
 
 
 def mix_by_name(name: str, env_name: str) -> BehaviorMix:
+    """The named mix for ``env_name``; ``default`` is that env's standard mix.
+    The orbit mix (``gridcircle``) acts in 2-D, so it needs GridCircle; the
+    others act with one scalar and run on either env."""
     table = {
         "stitch": stitch_mix,
         "pure_block": pure_block_mix,
@@ -224,7 +232,11 @@ def mix_by_name(name: str, env_name: str) -> BehaviorMix:
     if name == "default":
         name = "stitch" if env_name == CHAIN_RUN else "gridcircle"
     if name not in table:
-        raise ConfigError(f"unknown behavior mix {name!r} (known: {', '.join(sorted(table))})")
+        raise ConfigError(f"behavior_mix must be default or one of {', '.join(sorted(table))}, "
+                          f"got {name!r}")
+    if name == "gridcircle" and env_name != GRID_CIRCLE:
+        raise ConfigError(f"behavior_mix 'gridcircle' needs 2-D actions: env_name must be "
+                          f"{GRID_CIRCLE}, got {env_name!r}")
     return table[name]()
 
 

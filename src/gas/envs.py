@@ -130,7 +130,7 @@ def spec_by_name(name: str, episode_length: int) -> EnvSpec:
         return chainrun_spec(episode_length)
     if name == GRID_CIRCLE:
         return gridcircle_spec(episode_length)
-    raise ConfigError(f"unknown environment {name!r}")
+    raise ConfigError(f"env_name must be {CHAIN_RUN} or {GRID_CIRCLE}, got {name!r}")
 
 
 def rollout_actors(env, actors: "list[ActionSource]"):

@@ -1,9 +1,10 @@
 """Evaluation protocols: normalized metrics, sweeps, and ablations.
 
 Metrics: reward_norm = R_pi / R_max (dataset maximum reward return) and
-cost_norm = C_pi / L where L = threshold_fraction * C_max; at L = 0 (a
-corpus without cost) cost_norm is 0 for C_pi = 0 and inf otherwise, which
-the JSON reports write as null. A run
+cost_norm = C_pi / L where L = threshold_fraction * C_max. At L = 0 (a
+corpus without cost) cost_norm is 0 for C_pi = 0 and inf otherwise; at
+R_max = 0 (a corpus without reward) reward_norm is 0 for R_pi = 0 and
++-inf otherwise. The JSON reports write an infinite value as null. A run
 is "safe" at a threshold when cost_norm <= 1.1 (finite-sample tolerance
 above the nominal 1.0 boundary).
 
@@ -118,6 +119,13 @@ def _cost_norm(cost: float, budget: float) -> float:
     return cost / budget if budget > 0 else (float("inf") if cost > 0 else 0.0)
 
 
+def _reward_norm(reward: float, r_max: float) -> float:
+    """R / R_max; with R_max = 0, 0 when nothing was earned and +-inf otherwise."""
+    if r_max != 0:
+        return reward / r_max
+    return math.copysign(float("inf"), reward) if reward != 0 else 0.0
+
+
 def rollout_policy(env, pol: PolicyNet, nets: GoalNets, r_targets, c_targets,
                    trace: "list | None" = None) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic rollouts from the start state, one per (reward target,
@@ -183,7 +191,7 @@ def evaluate(pol: PolicyNet, nets: GoalNets, env, cfg: EvalConfig, r_max: float,
     rewards, costs = rollout_policy(env, pol, nets, r_targets, c_targets)
     rows = [{"threshold_frac": frac, "threshold_cost": float(c_target),
              "reward_return": float(reward), "cost_return": float(cost),
-             "reward_norm": float(reward / r_max),
+             "reward_norm": _reward_norm(float(reward), r_max),
              "cost_norm": _cost_norm(float(cost), c_target)}
             for frac, c_target, reward, cost in zip(fracs, c_targets, rewards, costs)]
     summary = [{"threshold_frac": row["threshold_frac"],
@@ -233,7 +241,7 @@ def robustness_sweep(pol: PolicyNet, nets: GoalNets, env, threshold_frac: float,
                 "threshold_cost": float(c_target),
                 "reward_return": reward,
                 "cost_return": cost,
-                "reward_norm": reward / r_max,
+                "reward_norm": _reward_norm(reward, r_max),
                 "cost_norm": _cost_norm(cost, c_target),
             })
     return rows

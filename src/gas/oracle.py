@@ -5,8 +5,11 @@ start t, segment end pinned by the queried pseudo-time t') whose start
 state matches the probe within per-dimension tolerance boxes, then
 maximizes the segment reward among segments whose cost fits the budget.
 Ties at the maximal reward resolve to the smallest cost. A list of probes
-is answered in one pass (``brute_force_goals``); ``brute_force_goal`` is its
-one-probe case.
+is answered in one pass (``brute_force_goals``): one match per group of
+probes sharing (state, t', tolerance), one gather of segment returns for
+all groups, and one sort by cost per group. ``brute_force_goal`` is its
+one-probe case. Corpus returns are finite (``OfflineDataset.from_arrays``
+rejects others), so the reward maximum and its ties are plain comparisons.
 
 Also houses the analytic ChainRun planner used as the acceptance yardstick.
 """
@@ -60,25 +63,13 @@ def brute_force_goals(dataset: OfflineDataset, probes, suffix_only: bool = False
 
     With ``suffix_only`` the enumeration is restricted to segments that run
     to the trajectory end (gamma = T-1), i.e. the un-augmented dataset.
-    """
-    return _brute_force_views(dataset, probes, [(None, suffix_only)])[0]
-
-
-def _brute_force_views(dataset: OfflineDataset, probes, views) -> list:
-    """Answer every probe under each view; one answer list per view.
-
-    A view is (tolerance, suffix_only); a ``None`` tolerance is each probe's
-    own. Probes that share (state, t') form a group. A group is matched
-    against the corpus once, in the smallest box that holds every box its
-    views ask in and over the widest window they need, and its segment
-    returns are gathered once. Each box then keeps its own candidates (those
-    inside it, and starting at t' when ``suffix_only``), so every answer
-    and support count is that of a gather in the probe's own box.
+    Probes that share (state, t', tolerance) form a group: each group is
+    matched against the corpus once, and one gather reads every group's
+    segment returns.
     """
     if dataset.n == 0:
         raise ConfigError("oracle needs a non-empty dataset")
-    states = dataset.states
-    T, width = states.shape[1:]
+    T, width = dataset.states.shape[1:]
     groups = {}
     for i, probe in enumerate(probes):
         if not (isinstance(probe.t_prime, (int, np.integer)) and 0 <= probe.t_prime <= T - 1):
@@ -88,97 +79,62 @@ def _brute_force_views(dataset: OfflineDataset, probes, views) -> list:
             raise ContractError(
                 f"probe state {probe.state.shape} and tolerance "
                 f"{probe.state_tolerance.shape} must both be ({width},), the corpus state width")
-        groups.setdefault((probe.state.tobytes(), probe.t_prime), []).append(i)
-    answers = [[None] * len(probes) for _ in views]
+        key = (probe.state.tobytes(), probe.t_prime, probe.state_tolerance.tobytes())
+        groups.setdefault(key, []).append(i)
+    answers = [None] * len(probes)
     if not groups:
         return answers
-    # per group: (box bytes, suffix_only) -> (box, the (view, probe) pairs asked in it)
-    asks = []
-    for members in groups.values():
-        boxes = {}
-        for v, (tolerance, suffix_only) in enumerate(views):
-            for i in members:
-                box = probes[i].state_tolerance if tolerance is None else tolerance
-                boxes.setdefault((box.tobytes(), suffix_only), (box, []))[1].append((v, i))
-        asks.append(boxes)
-    centers = [probes[members[0]] for members in groups.values()]
-    unions = [np.max([box for box, _ in boxes.values()], axis=0) for boxes in asks]
-    suffix_groups = [all(suffix for _, suffix in boxes) for boxes in asks]
-    with np.errstate(invalid="ignore"):  # inf - inf at an infinite return
-        # one match per group; one segment-return gather for all of them
-        starts = [_matching_starts(dataset, center.state, center.t_prime, union, suffix)
-                  for center, union, suffix in zip(centers, unions, suffix_groups)]
-        traj, t = (np.concatenate(column) for column in zip(*starts))
-        sizes = [tr.size for tr, _ in starts]
-        t_prime = np.repeat([center.t_prime for center in centers], sizes)
-        r_all, c_all = dataset.segment_returns(traj, t, t + (T - 1 - t_prime))
-        bounds = np.cumsum([0] + sizes).tolist()
-        for g, (center, union, boxes) in enumerate(zip(centers, unions, asks)):
-            # the group's candidates, sorted by cost, and which of them each box holds
-            order = bounds[g] + np.argsort(c_all[bounds[g]:bounds[g + 1]], kind="stable")
-            g_traj, g_t = traj[order], t[order]
-            held = np.ones((len(boxes), order.size), dtype=bool)
-            for row, ((key, suffix), (box, _)) in enumerate(boxes.items()):
-                if key != union.tobytes():
-                    held[row] = _inside(states[g_traj, g_t], center.state, box)
-                if suffix and not suffix_groups[g]:
-                    held[row] &= g_t == center.t_prime
-            asked = [(row, v, i) for row, (_, pairs) in enumerate(boxes.values())
-                     for v, i in pairs]
-            found = _best_within_budgets(r_all[order], c_all[order], held,
-                                         [row for row, _, _ in asked],
-                                         [probes[i].c_hat for _, _, i in asked])
-            for (_, v, i), answer in zip(asked, found):
-                answers[v][i] = answer
+    heads = [probes[members[0]] for members in groups.values()]
+    starts = [_matching_starts(dataset, head, suffix_only) for head in heads]
+    traj, t = (np.concatenate(column) for column in zip(*starts))
+    sizes = [tr.size for tr, _ in starts]
+    t_prime = np.repeat([head.t_prime for head in heads], sizes)
+    r_all, c_all = dataset.segment_returns(traj, t, t + (T - 1 - t_prime))
+    bounds = np.cumsum([0] + sizes).tolist()
+    for members, lo, hi in zip(groups.values(), bounds, bounds[1:]):
+        order = lo + np.argsort(c_all[lo:hi], kind="stable")
+        found = _best_within_budgets(r_all[order], c_all[order],
+                                     [probes[i].c_hat for i in members])
+        for i, answer in zip(members, found):
+            answers[i] = answer
     return answers
 
 
-def _inside(states: np.ndarray, center: np.ndarray, box: np.ndarray) -> np.ndarray:
-    """Which of ``states`` (..., d) lie within ``box`` of ``center``, one state
-    dimension at a time: numpy is slow over a length-d inner axis."""
-    inside = np.abs(states[..., 0] - center[0]) <= box[0]
-    for k in range(1, states.shape[-1]):
-        inside &= np.abs(states[..., k] - center[k]) <= box[k]
-    return inside
+def _matching_starts(dataset: OfflineDataset, probe: ProbeQuery, suffix_only: bool):
+    """(trajectory, start) of every segment whose start state lies within the
+    probe's tolerance box and whose end is pinned by its t'. The box is tested
+    one state dimension at a time: numpy is slow over a length-d inner axis."""
+    state, box = probe.state, probe.state_tolerance
+    earliest = probe.t_prime if suffix_only else 0
+    starts = dataset.states[:, earliest:probe.t_prime + 1]
+    inside = np.abs(starts[..., 0] - state[0]) <= box[0]
+    for k in range(1, starts.shape[-1]):
+        inside &= np.abs(starts[..., k] - state[k]) <= box[k]
+    traj, t = np.nonzero(inside)
+    return traj, t + earliest
 
 
-def _matching_starts(dataset: OfflineDataset, state, t_prime: int, box, suffix_only: bool):
-    """(trajectory, start) of every segment whose start state lies within
-    ``box`` of ``state`` and whose end is pinned by t'."""
-    earliest = t_prime if suffix_only else 0
-    traj, t = np.nonzero(_inside(dataset.states[:, earliest:t_prime + 1], state, box))
-    t += earliest
-    return traj, t
-
-
-def _best_within_budgets(r_seg, c_seg, held, rows, budgets) -> list:
-    """One ``OracleAnswer`` per (row, budget): the largest reward among the
-    segments of ``held[row]`` costing at most the budget, at the smallest
-    cost among those within 1e-12 of it. ``r_seg``/``c_seg`` are sorted by
-    cost, so the segments within a budget are a prefix of them and the
-    cheapest near-maximal one is the first such in it."""
-    rows = np.asarray(rows)
+def _best_within_budgets(r_seg, c_seg, budgets) -> list:
+    """One ``OracleAnswer`` per budget: the largest reward among the segments
+    costing at most the budget, at the smallest cost among those within
+    1e-12 of it. ``r_seg``/``c_seg`` are sorted by cost, so the segments
+    within a budget are a prefix of them and the cheapest near-maximal one
+    is the first such in it."""
     budgets = np.asarray(budgets, dtype=np.float64)
     within = np.searchsorted(c_seg, budgets, side="right")
     within[np.isnan(budgets)] = 0  # nan sorts last; a nan budget admits no segment
-    count = np.zeros((held.shape[0], held.shape[1] + 1), dtype=np.int64)
-    np.cumsum(held, axis=1, out=count[:, 1:])  # count[row, k]: held among the first k
-    support = count[rows, -1].tolist()
-    feasible = count[rows, within] > 0
+    feasible = within > 0
     best_r = best_c = []
     if feasible.any():
-        rows, within = rows[feasible], within[feasible]
-        best_r = np.maximum.accumulate(np.where(held, r_seg, -np.inf), axis=1)[rows, within - 1]
+        best_r = np.maximum.accumulate(r_seg)[within[feasible] - 1]
         # np.isclose(r, best_r, rtol=0, atol=1e-12) without its per-call overhead;
-        # the == term holds at an infinite maximum, where the difference is nan.
-        # The maximum lies in the prefix, so the first held match does too.
-        best_r = best_r[:, None]
-        at_best = held[rows] & ((np.abs(r_seg - best_r) <= 1e-12) | (r_seg == best_r))
+        # the maximum lies in the prefix, so the first match does too
+        at_best = np.abs(r_seg - best_r[:, None]) <= 1e-12
         best_c = c_seg[at_best.argmax(axis=1)].tolist()
-        best_r = best_r[:, 0].tolist()
+        best_r = best_r.tolist()
     best = iter(zip(best_r, best_c))  # one (reward, cost) per feasible budget, in order
-    return [OracleAnswer(*next(best), n, True) if ok else OracleAnswer(None, None, n, False)
-            for n, ok in zip(support, feasible.tolist())]
+    return [OracleAnswer(*next(best), r_seg.size, True) if ok
+            else OracleAnswer(None, None, r_seg.size, False) for ok in feasible.tolist()]
 
 
 def brute_force_goal(dataset: OfflineDataset, query: ProbeQuery,

@@ -204,14 +204,16 @@ def test_sweep_writes_reports_with_one_row_per_threshold(tmp_path):
     assert "checkpoint_hash" in payload["metadata"]
 
 
-def test_sweep_of_zero_cost_corpus_passes_with_strict_json(tmp_path):
+@pytest.mark.parametrize("env_name", ["ChainRun", "GridCircle"])
+def test_sweep_of_zero_cost_corpus_passes_with_strict_json(tmp_path, env_name):
     """A corpus without cost has C_max = 0, so every budget is 0; a policy
     that spends nothing is within it (cost_norm 0), and the report is
-    standard JSON (no NaN)."""
-    zero_cost = ["behavior_mix=slow", "n_traj=10", "iterations=5", "n_layers=2",
-                 "hidden=8", "embedding=8", "batch_size=16"]
-    assert run(tmp_path, "train", *zero_cost) == 0
-    assert run(tmp_path, "sweep", *zero_cost) == 0
+    standard JSON (no NaN). The slow mix on GridCircle earns nothing as well,
+    so R_max = 0 too and a rollout that earns nothing has reward_norm 0."""
+    corpus = [f"env_name={env_name}", "behavior_mix=slow", "n_traj=10", "iterations=5",
+              "n_layers=2", "hidden=8", "embedding=8", "batch_size=16"]
+    assert run(tmp_path, "train", *corpus) == 0
+    assert run(tmp_path, "sweep", *corpus) == 0
 
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -219,6 +221,9 @@ def test_sweep_of_zero_cost_corpus_passes_with_strict_json(tmp_path):
     payload = json.loads((tmp_path / "sweep.json").read_text(), parse_constant=reject)
     assert [row["cost_return"] for row in payload["rows"]] == [0.0] * 3
     assert [row["cost_norm"] for row in payload["rows"]] == [0.0] * 3
+    if env_name == "GridCircle":
+        assert payload["metadata"]["r_max"] == 0.0
+        assert [row["reward_norm"] for row in payload["rows"]] == [0.0] * 3
 
 
 def test_sweep_reports_reproducible(tmp_path):
@@ -284,6 +289,8 @@ def test_out_of_range_delta_exits_config_error(tmp_path, capsys, command):
     ("train", "beta2=1"), ("train", "lr_final_fraction=-2"), ("train", "weight_decay=-0.1"),
     ("train", "weight_decay=1000"),  # learning_rate * weight_decay = 1: no decay factor left
     ("train", "policy_weight_decay=nan"), ("train", "grad_clip=nan"),
+    ("gen-dataset", "behavior_mix=gridcircle"),  # the orbit mix's 2-D actions on ChainRun
+    ("train", "behavior_mix=bogus"),
 ])
 def test_out_of_range_setting_exits_config_error(tmp_path, capsys, command, override):
     key = override.split("=")[0]
@@ -359,7 +366,7 @@ def test_oracle_check_scores_the_run_corpus_without_rewriting_it(tmp_path, monke
     monkeypatch.setattr(gas.dataset, "save_dataset", no_generation)
     assert run(tmp_path, "oracle-check") in (0, 3)  # tiny run may miss the 0.9 agreement gate
     payload = json.loads((tmp_path / "oracle_check.json").read_text())
-    assert {"probes", "feasible", "agreement_fraction", "dominance_ok"} == set(payload)
+    assert {"probes", "feasible", "agreement_fraction"} == set(payload)
     assert payload["probes"] > 0
     assert (tmp_path / "dataset.gasdset").read_bytes() == corpus
 
@@ -367,7 +374,7 @@ def test_oracle_check_scores_the_run_corpus_without_rewriting_it(tmp_path, monke
 def _reference_oracle_check(run_dir):
     """The oracle-check payload computed one probe at a time: one oracle call
     and one one-row goal-net forward per probe, as before batching."""
-    from gas.oracle import ProbeQuery, brute_force_goal, default_state_tolerance
+    from gas.oracle import brute_force_goal
     nets, _ = gas.load_goals(run_dir / "goals.ckpt")
     data = gas.load_dataset(run_dir / "dataset.gasdset")
     T = data.horizon
@@ -375,10 +382,7 @@ def _reference_oracle_check(run_dir):
     budgets = [data.c_max * f for f in (0.125, 0.25, 0.5, 1.0)]
     traj_ids = list(range(0, data.n, max(1, data.n // 4)))[:4]
     probes = gas.probe_grid_from_dataset(data, traj_ids, times, budgets)
-    wide = default_state_tolerance(data.env_meta).copy()
-    wide[-1] = 1.0
     agree = total = 0
-    dominance_ok = True
     for probe in probes:
         answer = brute_force_goal(data, probe)
         if not answer.feasible:
@@ -387,14 +391,8 @@ def _reference_oracle_check(run_dir):
         v_r, _ = nets.values(probe.state[None, :], np.array([1.0 * (T - probe.t_prime)]),
                              np.array([probe.c_hat]), np.array([float(probe.t_prime)]))
         agree += abs(float(v_r[0]) - answer.v_r_star) / max(abs(answer.v_r_star), 1e-8) <= 0.10
-        wide_probe = ProbeQuery(probe.state, probe.t_prime, probe.c_hat, wide)
-        aug = brute_force_goal(data, wide_probe)
-        suf = brute_force_goal(data, wide_probe, suffix_only=True)
-        if aug.feasible and suf.feasible and aug.v_r_star < suf.v_r_star - 1e-9:
-            dominance_ok = False
     return {"probes": len(probes), "feasible": total,
-            "agreement_fraction": agree / total if total else 0.0,
-            "dominance_ok": dominance_ok}
+            "agreement_fraction": agree / total if total else 0.0}
 
 
 def test_oracle_check_matches_per_probe_reference(tmp_path):

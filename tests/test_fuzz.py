@@ -1,8 +1,10 @@
-"""Every loader either loads a byte string or raises SchemaError.
+"""Every loader either loads a byte string or raises SchemaError, and the
+CLI either runs or exits with a typed error.
 
-Inputs are random bytes, truncations of valid files, and valid files with
-one byte overwritten, for each on-disk format: net checkpoints, goal and
-policy bundles, and datasets.
+Loader inputs are random bytes, truncations of valid files, and valid files
+with one byte overwritten, for each on-disk format: net checkpoints, goal
+and policy bundles, and datasets. CLI inputs are every subcommand on a run
+directory trained first, with random settings.
 """
 
 import struct
@@ -10,12 +12,14 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import gas
-from gas.config import seed_streams
+from gas.cli import main
+from gas.config import _DEFAULTS, _KEYS, _value, seed_streams
 from gas.errors import SchemaError
+from gas.evaluate import ABLATION_KINDS
 from gas.goals import GoalNets, InputNorm, load_goals, save_goals
 from gas.nn import Mlp, read_net_bytes, write_net_bytes
 from gas.policy import PolicyNet, load_policy, save_policy
@@ -92,3 +96,77 @@ def test_net_header_overflowing_sizes_is_schema_error():
     blob = gas.nn.NET_MAGIC + struct.pack("<II", 1, 2) + struct.pack("<2I", 2**32 - 1, 2**32 - 1)
     with pytest.raises(SchemaError):
         LOADERS["net"](_write("net", blob))
+
+
+# -- the command line -------------------------------------------------------------
+
+# the in-range values the fuzz gives each size key: the defaults train for
+# minutes, and a large n_traj or cost_bins runs or prints for as long
+TINY = {"n_traj": (1, 5), "episode_length": (2, 6), "iterations": (0, 3), "batch_size": (1, 4),
+        "n_layers": (2, 3), "hidden": (1, 3), "embedding": (1, 3), "cost_bins": (1, 3)}
+ENV_NAMES = [gas.CHAIN_RUN, gas.GRID_CIRCLE]
+MIXES = ["default", "stitch", "pure_block", "slow", "gridcircle"]
+# the keys a command may set on top of the run's: all but the run's placement
+OTHER_KEYS = sorted(set(_KEYS) - {"out_dir", "dataset_path"})
+ODD_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e9", "fast", ""]
+COMMANDS = ["gen-dataset", "train", "eval", "sweep", "ablate", "oracle-check"]
+
+
+def _in_range(key: str) -> st.SearchStrategy:
+    if key in TINY:
+        return st.integers(*TINY[key]).map(str)
+    if key == "env_name":
+        return st.sampled_from(ENV_NAMES + ["Nowhere"])
+    if key == "behavior_mix":
+        return st.sampled_from(MIXES + ["bogus"])
+    value = _value(_DEFAULTS, key)
+    return st.just(",".join(map(repr, value)) if isinstance(value, tuple) else str(value))
+
+
+@st.composite
+def _run_keys(draw) -> list:
+    """A known corpus choice and every size key at a tiny value."""
+    keys = [f"env_name={draw(st.sampled_from(ENV_NAMES))}",
+            f"behavior_mix={draw(st.sampled_from(MIXES))}"]
+    return keys + [f"{key}={draw(_in_range(key))}" for key in TINY]
+
+
+@st.composite
+def _other_key(draw) -> str:
+    """A key at an in-range value (the names: known or one unknown) or at an odd one."""
+    key = draw(st.sampled_from(OTHER_KEYS))
+    return f"{key}={draw(st.one_of(_in_range(key), st.sampled_from(ODD_VALUES)))}"
+
+
+def _files(root: Path) -> dict:
+    return {path.name: path.read_bytes() for path in root.iterdir()}
+
+
+# the two examples exited with a traceback: the orbit mix's 2-D actions on
+# ChainRun, and a sweep of a corpus whose best return is 0 (reward_norm 0/0)
+@example(command="gen-dataset", run_keys=["env_name=ChainRun", "behavior_mix=gridcircle",
+                                          "n_traj=3", "episode_length=4", "iterations=2"],
+         other=[], kind="no_tsra")
+@example(command="sweep", run_keys=["env_name=GridCircle", "behavior_mix=slow", "n_traj=3",
+                                    "episode_length=4", "iterations=2", "batch_size=4",
+                                    "n_layers=2", "hidden=3", "embedding=2"],
+         other=[], kind="no_tsra")
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(command=st.sampled_from(COMMANDS), run_keys=_run_keys(),
+       other=st.lists(_other_key(), min_size=1, max_size=3),
+       kind=st.sampled_from(ABLATION_KINDS))
+def test_main_exits_with_a_code_and_no_traceback(monkeypatch, command, run_keys, other, kind):
+    """No exception escapes ``main``, the exit code is one of the documented
+    four, and a config error (exit 1) changes no file of the run directory."""
+    monkeypatch.delenv("GAS_OUT_DIR", raising=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        keys = [*run_keys, f"out_dir={out}"]
+        assert main(["train", *keys]) in (0, 1, 2, 3)
+        before = _files(out)
+        kind_flag = [f"--kind={kind}"] if command == "ablate" else []
+        code = main([command, *keys, *other, *kind_flag])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert _files(out) == before
