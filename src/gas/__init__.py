@@ -6,9 +6,9 @@ Library layout:
 * :mod:`gas.dataset` -- offline dataset and its segment returns, one-actor
   rollouts, segment augmentation, relabeling, reshaping, batch sampling,
   file formats
-* :mod:`gas.nn` -- numpy MLP, optimizer, expectile primitive, grad checker,
-  the net byte format (``write_net_bytes`` / ``read_net_bytes``)
-* :mod:`gas.goals` -- reward/cost goal functions (expectile regression)
+* :mod:`gas.nn` -- numpy MLP, optimizer, expectile primitive, grad checker
+* :mod:`gas.goals` -- reward/cost goal functions (expectile regression) and
+  the checkpoint bundle format (``write_bundle`` / ``read_bundle``)
 * :mod:`gas.policy` -- constrained advantage-weighted policy + tracking
 * :mod:`gas.oracle` -- brute-force achievable-goal oracle, analytic planner
 * :mod:`gas.training` -- the training loop (interleaved or two-phase)

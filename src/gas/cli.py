@@ -88,7 +88,7 @@ def _train_meta(cfg: RunConfig, dataset_path: Path, data: ds.OfflineDataset) -> 
         "alpha": cfg.alpha, "delta": aug.delta, "q_percent": aug.q_percent,
         "epsilon": aug.epsilon, "config_hash": config_hash(cfg), "seed": cfg.seed,
         "env_name": data.env_meta.name, "episode_length": data.env_meta.episode_length,
-        "state_dim": data.env_meta.state_dim, "action_dim": data.env_meta.action_dim,
+        "state_dim": data.env_meta.state_dim,
         "r_max": data.r_max, "c_max": data.c_max,
         "reward_target_table": reward_target_table(data, fracs),
         "dataset_sha256": sha256_file(dataset_path),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,11 +48,19 @@ class RunConfig:
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self) -> None:
-        spec_by_name(self.env_name, self.episode_length)  # a known env, episode_length >= 2
+        spec = spec_by_name(self.env_name, self.episode_length)  # known env, episode_length >= 2
         mix_by_name(self.behavior_mix, self.env_name)  # a known mix the env can run
         for key, least in (("n_traj", 1), ("iterations", 0), ("seed", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        if not self.dataset_path:
+            # the generated corpus: states, actions, rewards, costs and their prefix sums
+            corpus = (self.n_traj * self.episode_length
+                      * (spec.state_dim + spec.action_dim + 4) * 8)
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if corpus > memory:
+                raise ConfigError(f"n_traj must keep the generated corpus ({corpus} bytes) "
+                                  f"within physical memory ({memory} bytes), got {self.n_traj}")
         if not 0.0 < self.alpha < 1.0:  # also rejects nan
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.schedule not in SCHEDULES:

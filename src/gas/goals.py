@@ -9,12 +9,16 @@ Training is a pure regression on relabeled targets: no bootstrapping, no
 target networks. All indicator weights (feasibility, advantage sign) are
 treated as constants of the current iterate, so gradients flow into the
 reward net only through its own output and likewise for the cost net.
+
+Trained nets are saved as checkpoint bundles (``write_bundle``/``read_bundle``):
+one JSON header with the metadata, the input normalization and each net's
+layer sizes, followed by every parameter as little-endian f64.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,11 +27,10 @@ import numpy as np
 
 from .dataset import OfflineDataset, TransitionBatch
 from .errors import ContractError, SchemaError, parsing
-from .nn import (Mlp, NetBuffers, expectile_weight, layer_sizes, read_net_bytes,
-                 write_net_bytes)
+from .nn import Mlp, NetBuffers, expectile_weight, layer_sizes
 
 BUNDLE_MAGIC = b"GASPACK1"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 
 @dataclass
@@ -162,44 +165,57 @@ def goal_loss(batch: TransitionBatch, nets: GoalNets, alpha: float, *,
 
 
 def write_bundle(path, tagged_nets: dict, norm: InputNorm, meta: dict) -> None:
-    """Role-tagged container: metadata JSON + one net blob per role."""
-    meta = dict(meta)
-    meta["norm"] = norm.to_dict()
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Magic, then (version, header length) as ``<II``, then the JSON header:
+    ``meta`` plus ``norm`` and ``nets`` = {tag: layer sizes}. Then each net's
+    weights and biases as little-endian f64, nets in tag order and layers in
+    order. Sorted keys and compact separators keep reruns byte-identical."""
+    tags = sorted(tagged_nets)
+    header = dict(meta, norm=norm.to_dict(),
+                  nets={tag: tagged_nets[tag].layer_sizes for tag in tags})
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(BUNDLE_MAGIC)
-        fh.write(struct.pack("<II", BUNDLE_VERSION, len(tagged_nets)))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        for tag in sorted(tagged_nets):
-            tag_bytes = tag.encode("utf-8")
-            blob = write_net_bytes(tagged_nets[tag])
-            fh.write(struct.pack("<I", len(tag_bytes)))
-            fh.write(tag_bytes)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+        fh.write(struct.pack("<II", BUNDLE_VERSION, len(header_bytes)))
+        fh.write(header_bytes)
+        for tag in tags:
+            net = tagged_nets[tag]
+            for w, b in zip(net.weights, net.biases):
+                fh.write(np.ascontiguousarray(w, dtype="<f8"))
+                fh.write(np.ascontiguousarray(b, dtype="<f8"))
 
 
 def read_bundle(path, raw: "bytes | None" = None) -> tuple[dict, InputNorm, dict]:
     """Returns ({tag: Mlp}, norm, metadata); a corrupt file raises SchemaError.
-    Parses ``raw``, the file's bytes already read, when given."""
-    fh = io.BytesIO(Path(path).read_bytes() if raw is None else raw)
+    Parses ``raw``, the file's bytes already read, when given. Each parameter
+    array is copied once out of those bytes into its own writable memory."""
+    raw = Path(path).read_bytes() if raw is None else raw
     with parsing(f"checkpoint bundle {path}"):
-        magic = fh.read(8)
-        if magic != BUNDLE_MAGIC:
-            raise SchemaError(f"bad bundle magic {magic!r}, expected {BUNDLE_MAGIC!r}")
-        version, n_nets = struct.unpack("<II", fh.read(8))
+        if raw[:8] != BUNDLE_MAGIC:
+            raise SchemaError(f"bad bundle magic {raw[:8]!r}, expected {BUNDLE_MAGIC!r}")
+        version, header_len = struct.unpack_from("<II", raw, 8)
         if version != BUNDLE_VERSION:
             raise SchemaError(f"unsupported bundle version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        nets = {}
-        for _ in range(n_nets):
-            (tag_len,) = struct.unpack("<I", fh.read(4))
-            tag = fh.read(tag_len).decode("utf-8")
-            (blob_len,) = struct.unpack("<I", fh.read(4))
-            nets[tag] = read_net_bytes(fh.read(blob_len))
+        offset = 16 + header_len
+        meta = json.loads(raw[16:offset].decode("utf-8"))
         norm = InputNorm.from_dict(meta.pop("norm"))
+        nets = {}
+        for tag, sizes in sorted(meta.pop("nets").items()):
+            # type(n) is int: a JSON float or boolean is not a layer size
+            if not (isinstance(sizes, list) and len(sizes) >= 2
+                    and all(type(n) is int and n > 0 for n in sizes)):
+                raise SchemaError(f"net {tag!r} layer sizes must be two or more positive "
+                                  f"integers, got {sizes!r}")
+            params = []  # each layer's weights, then its biases
+            for n_in, n_out in zip(sizes, sizes[1:]):
+                for shape in ((n_in, n_out), (n_out,)):
+                    # a short payload or an overflowing count: ValueError or OverflowError
+                    count = math.prod(shape)
+                    params.append(np.frombuffer(raw, "<f8", count, offset)
+                                  .astype(np.float64).reshape(shape))
+                    offset += 8 * count
+            nets[tag] = Mlp(sizes, params[0::2], params[1::2])
+        if offset != len(raw):
+            raise SchemaError(f"{len(raw) - offset} bytes after the last net")
     return nets, norm, meta
 
 

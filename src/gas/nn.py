@@ -3,24 +3,19 @@
 Everything is double-precision numpy: ReLU hidden layers, identity output,
 an adaptive-moment optimizer with global gradient-norm clipping and
 decoupled weight decay, the asymmetric-squared (expectile) loss primitive,
-a central-finite-difference gradient checker, and the binary net format
-(magic ``GASNET1\\0``) of ``write_net_bytes``/``read_net_bytes``.
+and a central-finite-difference gradient checker. Nets are saved inside
+the checkpoint bundles of ``gas.goals``.
 """
 
 from __future__ import annotations
 
-import io
-import math
-import struct
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NonFiniteError, SchemaError, parsing
+from .errors import ContractError, NonFiniteError
 
-NET_MAGIC = b"GASNET1\x00"
-NET_VERSION = 1
+_ADAM_EPS = 1e-8
 
 
 def layer_sizes(n_in: int, n_out: int, n_layers: int, hidden: int, embedding: int) -> list:
@@ -182,25 +177,18 @@ def flatten_grads(d_weights, d_biases) -> np.ndarray:
     return np.concatenate(parts)
 
 
-@dataclass
-class OptimHyper:
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-4
-    grad_clip_norm: float = 0.25
-
-
 class OptimState:
     """Adaptive-moment state for one Mlp (single-writer).
 
-    ``apply`` computes in two scratch arrays sized for the net's largest
-    parameter, so a step allocates no array.
+    The betas and the clip norm come from ``hyper`` (a ``NetHyper``), the
+    decoupled weight decay from ``weight_decay``, and each step's learning
+    rate from its ``apply`` call. ``apply`` computes in two scratch arrays
+    sized for the net's largest parameter, so a step allocates no array.
     """
 
-    def __init__(self, net: Mlp, hyper: OptimHyper):
+    def __init__(self, net: Mlp, hyper, weight_decay: float):
         self.hyper = hyper
+        self.weight_decay = weight_decay
         self.step_count = 0
         self.m_weights = [np.zeros_like(w) for w in net.weights]
         self.m_biases = [np.zeros_like(b) for b in net.biases]
@@ -212,7 +200,7 @@ class OptimState:
         self._scratch = [(a[:p.size].reshape(p.shape), b[:p.size].reshape(p.shape))
                          for p in params]
 
-    def apply(self, net: Mlp, d_weights, d_biases) -> None:
+    def apply(self, net: Mlp, d_weights, d_biases, learning_rate: float) -> None:
         """One update: clip by global norm, decay weights, then moment step."""
         grads = list(d_weights) + list(d_biases)
         total = 0.0
@@ -223,12 +211,12 @@ class OptimState:
             raise NonFiniteError(f"non-finite gradient (norm={norm}); step aborted")
         h = self.hyper
         scale = 1.0
-        if h.grad_clip_norm > 0.0 and norm > h.grad_clip_norm:
-            scale = h.grad_clip_norm / norm
+        if h.grad_clip > 0.0 and norm > h.grad_clip:
+            scale = h.grad_clip / norm
         self.step_count += 1
         bc1 = 1.0 - h.beta1 ** self.step_count
         bc2 = 1.0 - h.beta2 ** self.step_count
-        decay = 1.0 - h.learning_rate * h.weight_decay
+        decay = 1.0 - learning_rate * self.weight_decay
         params = list(net.weights) + list(net.biases)
         moments1 = self.m_weights + self.m_biases
         moments2 = self.v_weights + self.v_biases
@@ -244,10 +232,10 @@ class OptimState:
             # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that expression's
             # evaluation order, so the bits are the same
             np.divide(m, bc1, out=s)
-            s *= h.learning_rate
+            s *= learning_rate
             np.divide(v, bc2, out=t)
             np.sqrt(t, out=t)
-            t += h.eps
+            t += _ADAM_EPS
             s /= t
             p -= s
 
@@ -328,49 +316,3 @@ def grad_check(f: Callable[[np.ndarray], float], x: np.ndarray,
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)
         worst = max(worst, max(abs(analytic[i] - numeric) - round_off, 0.0) / denom)
     return worst
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def _read_array(fh, shape) -> np.ndarray:
-    count = math.prod(shape)
-    buf = fh.read(count * 8)
-    if len(buf) != count * 8:
-        raise SchemaError("truncated parameter blob")
-    return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-
-
-def write_net_bytes(net: Mlp) -> bytes:
-    """Magic, version, layer sizes, each layer's f64 weights and biases, and
-    an optimizer-state flag that is always 0 (checkpoints carry parameters only)."""
-    buf = io.BytesIO()
-    buf.write(NET_MAGIC)
-    buf.write(struct.pack("<II", NET_VERSION, len(net.layer_sizes)))
-    buf.write(struct.pack(f"<{len(net.layer_sizes)}I", *net.layer_sizes))
-    for w, b in zip(net.weights, net.biases):
-        buf.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    buf.write(struct.pack("<I", 0))
-    return buf.getvalue()
-
-
-def read_net_bytes(data: bytes) -> Mlp:
-    """Parse one net; corrupt bytes or a set optimizer flag raise SchemaError."""
-    fh = io.BytesIO(data)
-    with parsing("net checkpoint"):
-        magic = fh.read(8)
-        if magic != NET_MAGIC:
-            raise SchemaError(f"bad checkpoint magic {magic!r}, expected {NET_MAGIC!r}")
-        version, n_sizes = struct.unpack("<II", fh.read(8))
-        if version != NET_VERSION:
-            raise SchemaError(f"unsupported checkpoint version {version}, expected {NET_VERSION}")
-        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
-        weights, biases = [], []
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(_read_array(fh, (n_in, n_out)))
-            biases.append(_read_array(fh, (n_out,)))
-        (has_optim,) = struct.unpack("<I", fh.read(4))
-        if has_optim:
-            raise SchemaError("net checkpoint carries optimizer state, which is not supported")
-        return Mlp(sizes, weights, biases)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TransitionBatch
-from .errors import ContractError, SchemaError, parsing
+from .errors import ContractError, SchemaError
 from .goals import AdvantagePair, GoalNets, InputNorm, goal_inputs, read_bundle, write_bundle
 from .nn import Mlp, NetBuffers, expectile_weight, layer_sizes
 
@@ -38,7 +38,10 @@ def _extend_goal_inputs(norm: InputNorm, z: np.ndarray, v_r, v_c) -> np.ndarray:
 class PolicyNet:
     net: Mlp
     norm: InputNorm
-    action_dim: int
+
+    @property
+    def action_dim(self) -> int:
+        return self.net.layer_sizes[-1]
 
     @classmethod
     def create(cls, norm: InputNorm, state_dim: int, action_dim: int, n_layers: int,
@@ -48,7 +51,7 @@ class PolicyNet:
         # zero output layer: the policy starts at the neutral action, and
         # regions the constrained regression never weights stay near it
         net.weights[-1][...] = 0.0
-        return cls(net, norm, action_dim)
+        return cls(net, norm)
 
     def forward(self, states, r_hat, c_hat, v_r, v_c, t_prime) -> np.ndarray:
         z = policy_inputs(self.norm, states, r_hat, c_hat, v_r, v_c, t_prime)
@@ -119,8 +122,6 @@ def act(pol: PolicyNet, nets: GoalNets, state, tracker: TargetTracker, T: int) -
 
 
 def save_policy(path, pol: PolicyNet, meta: dict) -> None:
-    meta = dict(meta)
-    meta["action_dim"] = pol.action_dim
     write_bundle(path, {"policy": pol.net}, pol.norm, meta)
 
 
@@ -128,6 +129,4 @@ def load_policy(path, raw: "bytes | None" = None) -> tuple[PolicyNet, dict]:
     tagged, norm, meta = read_bundle(path, raw)
     if set(tagged) != {"policy"}:
         raise SchemaError(f"policy bundle must contain exactly one policy net, got {sorted(tagged)}")
-    with parsing(f"policy bundle {path}"):
-        action_dim = int(meta["action_dim"])
-    return PolicyNet(tagged["policy"], norm, action_dim), meta
+    return PolicyNet(tagged["policy"], norm), meta

@@ -19,7 +19,7 @@ from .dataset import (AugmentConfig, OfflineDataset, ReshapeIndex, TransitionBat
                       build_reshape_index, sample_batch)
 from .errors import ConfigError, NonFiniteError
 from .goals import GoalNets, InputNorm, goal_loss
-from .nn import OptimHyper, OptimState, net_buffers
+from .nn import OptimState, net_buffers
 from .policy import PolicyNet, policy_loss
 
 # each phase of a schedule runs `iterations` steps updating (goal nets, policy)
@@ -73,14 +73,10 @@ class NetHyper:
             if not ok:
                 raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")
 
-    def optim_hyper(self, weight_decay: "float | None" = None) -> OptimHyper:
-        wd = self.weight_decay if weight_decay is None else weight_decay
-        return OptimHyper(self.learning_rate, self.beta1, self.beta2, 1e-8,
-                          wd, self.grad_clip)
-
-    def policy_optim_hyper(self) -> OptimHyper:
-        wd = self.policy_weight_decay if self.policy_weight_decay >= 0 else None
-        return self.optim_hyper(wd)
+    @property
+    def policy_decay(self) -> float:
+        """The policy's weight decay: ``policy_weight_decay``, or ``weight_decay`` when < 0."""
+        return self.policy_weight_decay if self.policy_weight_decay >= 0 else self.weight_decay
 
     def lr_at(self, iteration: int, total: int) -> float:
         if self.lr_final_fraction >= 1.0 or total <= 1:
@@ -134,9 +130,9 @@ def train_gas(dataset: OfflineDataset, cfg: AugmentConfig, hyper: NetHyper,
         raise ConfigError(f"unknown schedule {schedule!r} (known: {', '.join(SCHEDULES)})")
     reshape = build_reshape_index(dataset, cfg.q_percent, cfg.cost_bins) if cfg.epsilon > 0 else None
     nets, pol = build_models(dataset, hyper, streams)
-    optim_r = OptimState(nets.reward_net, hyper.optim_hyper())
-    optim_c = OptimState(nets.cost_net, hyper.optim_hyper())
-    optim_p = OptimState(pol.net, hyper.policy_optim_hyper())
+    optim_r = OptimState(nets.reward_net, hyper, hyper.weight_decay)
+    optim_c = OptimState(nets.cost_net, hyper, hyper.weight_decay)
+    optim_p = OptimState(pol.net, hyper, hyper.policy_decay)
     # the nets' activations, gradients and backprop temporaries, made once per
     # call and held by no returned object: a caller may keep a TrainResult
     # while it trains the next one
@@ -149,8 +145,6 @@ def train_gas(dataset: OfflineDataset, cfg: AugmentConfig, hyper: NetHyper,
         for phase_iter in range(1, iterations + 1):
             it += 1
             lr = hyper.lr_at(phase_iter, iterations)
-            for optim in (optim_r, optim_c, optim_p):
-                optim.hyper.learning_rate = lr
             batch = sample_batch(dataset, reshape, cfg, hyper.batch_size, rng_batch, rng_relabel)
             l_r, l_c, grads_r, grads_c, adv = goal_loss(batch, nets, alpha,
                                                         buffers=(bufs_r, bufs_c))
@@ -158,10 +152,10 @@ def train_gas(dataset: OfflineDataset, cfg: AugmentConfig, hyper: NetHyper,
             if not (np.isfinite(l_r) and np.isfinite(l_c) and np.isfinite(l_pi)):
                 raise NonFiniteError(_diagnose(it, batch, l_r=l_r, l_c=l_c, l_pi=l_pi))
             if update_goals:
-                optim_r.apply(nets.reward_net, *grads_r)
-                optim_c.apply(nets.cost_net, *grads_c)
+                optim_r.apply(nets.reward_net, *grads_r, lr)
+                optim_c.apply(nets.cost_net, *grads_c, lr)
             if update_policy:
-                optim_p.apply(pol.net, *grads_p)
+                optim_p.apply(pol.net, *grads_p, lr)
             if it % log_every == 0:
                 history.append((it, l_r, l_c, l_pi))
     return TrainResult(nets, pol, history, reshape)

@@ -291,6 +291,7 @@ def test_out_of_range_delta_exits_config_error(tmp_path, capsys, command):
     ("train", "policy_weight_decay=nan"), ("train", "grad_clip=nan"),
     ("gen-dataset", "behavior_mix=gridcircle"),  # the orbit mix's 2-D actions on ChainRun
     ("train", "behavior_mix=bogus"),
+    ("gen-dataset", "n_traj=100000000000"),  # a corpus larger than physical memory
 ])
 def test_out_of_range_setting_exits_config_error(tmp_path, capsys, command, override):
     key = override.split("=")[0]

@@ -48,7 +48,7 @@ def test_rollout_rejects_models_with_different_input_normalizations(chain_env, b
     """act feeds the policy the goal nets' input, so both must share one
     normalization; a policy fitted on another corpus is a ContractError."""
     nets, pol = models
-    other = PolicyNet(pol.net, InputNorm.fit(block_dataset), pol.action_dim)
+    other = PolicyNet(pol.net, InputNorm.fit(block_dataset))
     with pytest.raises(ContractError, match="normalization"):
         run_episode(chain_env, other, nets, 10.0, 5.0)
 
@@ -57,7 +57,7 @@ def test_zero_budget_cost_norm(chain_env, stitch_dataset, models):
     """With C_max = 0 every budget L is 0: cost_norm is 0 for a rollout that
     spends nothing and inf for one that spends, in both sweeps."""
     nets, pol = models
-    spender = PolicyNet(pol.net.copy(), pol.norm, pol.action_dim)
+    spender = PolicyNet(pol.net.copy(), pol.norm)
     spender.net.biases[-1][...] = 1.0  # action tanh(1) > 0: every step costs
     for policy, expected in ((pol, 0.0), (spender, float("inf"))):
         report = evaluate(policy, nets, chain_env, EvalConfig((0.2, 0.5)),

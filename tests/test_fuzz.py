@@ -2,11 +2,12 @@
 CLI either runs or exits with a typed error.
 
 Loader inputs are random bytes, truncations of valid files, and valid files
-with one byte overwritten, for each on-disk format: net checkpoints, goal
-and policy bundles, and datasets. CLI inputs are every subcommand on a run
+with one byte overwritten, for each on-disk format: goal and policy
+checkpoint bundles, and datasets. CLI inputs are every subcommand on a run
 directory trained first, with random settings.
 """
 
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -21,7 +22,6 @@ from gas.config import _DEFAULTS, _KEYS, _value, seed_streams
 from gas.errors import SchemaError
 from gas.evaluate import ABLATION_KINDS
 from gas.goals import GoalNets, InputNorm, load_goals, save_goals
-from gas.nn import Mlp, read_net_bytes, write_net_bytes
 from gas.policy import PolicyNet, load_policy, save_policy
 
 
@@ -36,8 +36,7 @@ def _valid_files(root: Path) -> dict:
     meta = {"env_name": "ChainRun", "r_max": data.r_max, "c_max": data.c_max}
     save_goals(root / "goals.ckpt", nets, meta)
     save_policy(root / "policy.ckpt", pol, meta)
-    return {"net": write_net_bytes(Mlp.init([3, 2], streams["init_reward"])),
-            "goals": (root / "goals.ckpt").read_bytes(),
+    return {"goals": (root / "goals.ckpt").read_bytes(),
             "policy": (root / "policy.ckpt").read_bytes(),
             "dataset": (root / "data.gasdset").read_bytes()}
 
@@ -45,8 +44,7 @@ def _valid_files(root: Path) -> dict:
 _TMP = tempfile.TemporaryDirectory()
 _ROOT = Path(_TMP.name)
 VALID = _valid_files(_ROOT)
-LOADERS = {"net": lambda path: read_net_bytes(path.read_bytes()), "goals": load_goals,
-           "policy": load_policy, "dataset": gas.load_dataset}
+LOADERS = {"goals": load_goals, "policy": load_policy, "dataset": gas.load_dataset}
 
 
 def _write(kind: str, blob: bytes) -> Path:
@@ -93,9 +91,13 @@ def test_truncated_or_overwritten_load_or_schema_error(kind, data):
 
 def test_net_header_overflowing_sizes_is_schema_error():
     """Layer sizes whose product overflows int64 are a short read, not a crash."""
-    blob = gas.nn.NET_MAGIC + struct.pack("<II", 1, 2) + struct.pack("<2I", 2**32 - 1, 2**32 - 1)
+    raw = VALID["goals"]
+    (n,) = struct.unpack_from("<I", raw, 12)
+    header = json.loads(raw[16:16 + n])
+    header["nets"]["cost"] = [2**32 - 1, 2**32 - 1]
+    blob = json.dumps(header).encode()
     with pytest.raises(SchemaError):
-        LOADERS["net"](_write("net", blob))
+        load_goals(_write("goals", raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + n:]))
 
 
 # -- the command line -------------------------------------------------------------

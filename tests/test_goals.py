@@ -1,9 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 import gas
 from gas.dataset import AugmentConfig, sample_batch
-from gas.errors import ContractError
+from gas.errors import ContractError, SchemaError
 from gas.goals import GoalNets, InputNorm, goal_inputs, goal_loss, load_goals, save_goals
 from gas.nn import flatten_grads, grad_check
 from gas.config import seed_streams
@@ -200,3 +203,56 @@ def test_goals_bundle_round_trip(tmp_path, stitch_dataset):
     assert np.array_equal(loaded.cost_net.get_flat(), nets.cost_net.get_flat())
     assert np.array_equal(loaded.norm.state_mean, nets.norm.state_mean)
     assert loaded.norm.r_scale == nets.norm.r_scale
+
+
+def _saved_goals(tmp_path, dataset) -> bytes:
+    path = tmp_path / "goals.ckpt"
+    save_goals(path, _nets(dataset, hidden=3, n_layers=2), {"alpha": 0.8})
+    return path.read_bytes()
+
+
+def _with_nets(raw: bytes, **nets) -> bytes:
+    """``raw`` with its header's layer sizes of ``nets`` replaced, the parameters kept."""
+    (n,) = struct.unpack_from("<I", raw, 12)
+    header = json.loads(raw[16:16 + n])
+    header["nets"].update(nets)
+    blob = json.dumps(header).encode()
+    return raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + n:]
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda raw: b"BADMAGIC" + raw[8:], "magic"),
+    (lambda raw: raw[:8] + struct.pack("<I", 1) + raw[12:], "unsupported bundle version 1"),
+    (lambda raw: raw[:-8], "corrupt"),
+    (lambda raw: raw + bytes(8), "8 bytes after the last net"),
+    (lambda raw: _with_nets(raw, cost=[4]), "layer sizes"),
+    (lambda raw: _with_nets(raw, cost=[4, 0]), "layer sizes"),
+    (lambda raw: _with_nets(raw, cost=[4.5, 1]), "layer sizes"),
+    (lambda raw: _with_nets(raw, cost=[5, True]), "layer sizes"),
+], ids=["magic", "version_1", "short", "trailing", "one_size", "zero_size", "float_size",
+        "bool_size"])
+def test_corrupt_goals_bundle_is_schema_error(tmp_path, stitch_dataset, corrupt, match):
+    path = tmp_path / "corrupt.ckpt"
+    path.write_bytes(corrupt(_saved_goals(tmp_path, stitch_dataset)))
+    with pytest.raises(SchemaError, match=match):
+        load_goals(path)
+
+
+def test_goals_bundle_layout_and_writable_parameters(tmp_path, stitch_dataset):
+    """Magic, version, header length, the JSON header, then every parameter
+    as f64 and nothing else; loaded parameters are writable copies that share
+    no memory with the file's bytes."""
+    raw = _saved_goals(tmp_path, stitch_dataset)
+    version, n = struct.unpack_from("<II", raw, 8)
+    header = json.loads(raw[16:16 + n])
+    nets, meta = load_goals(tmp_path / "goals.ckpt", raw)
+    params = [p for net in (nets.cost_net, nets.reward_net) for p in (*net.weights, *net.biases)]
+    assert (raw[:8], version) == (b"GASPACK1", 2)
+    assert header["nets"] == {"cost": nets.cost_net.layer_sizes,
+                              "reward": nets.reward_net.layer_sizes}
+    assert len(raw) == 16 + n + 8 * sum(p.size for p in params)
+    assert meta == {"alpha": 0.8}
+    view = np.frombuffer(raw, np.uint8)
+    for p in params:
+        assert p.dtype == np.float64 and p.flags.writeable
+        assert not np.shares_memory(p, view)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gas
-from gas.errors import ContractError, NonFiniteError, SchemaError
-from gas.nn import (Mlp, OptimHyper, OptimState, expectile_term, flatten_grads,
-                    grad_check, net_buffers, read_net_bytes, solve_scalar_expectile,
-                    write_net_bytes)
+from gas.errors import ContractError, NonFiniteError
+from gas.nn import (Mlp, OptimState, expectile_term, flatten_grads, grad_check, net_buffers,
+                    solve_scalar_expectile)
+from gas.training import NetHyper
 
 
 def _net(sizes, seed=0):
@@ -236,21 +236,20 @@ def test_scalar_expectile_moves_mean_to_max():
 def test_optimizer_zero_grads_no_decay_is_fixed_point():
     net = _net([2, 3, 1])
     before = net.get_flat()
-    opt = OptimState(net, OptimHyper(learning_rate=0.1, weight_decay=0.0))
+    opt = OptimState(net, NetHyper(), 0.0)
     zeros = ([np.zeros_like(w) for w in net.weights],
              [np.zeros_like(b) for b in net.biases])
-    opt.apply(net, *zeros)
+    opt.apply(net, *zeros, 0.1)
     assert np.array_equal(net.get_flat(), before)
 
 
 def test_optimizer_decoupled_weight_decay_only():
     net = _net([2, 2])
     before = net.get_flat()
-    hyper = OptimHyper(learning_rate=0.1, weight_decay=0.01)
-    opt = OptimState(net, hyper)
+    opt = OptimState(net, NetHyper(), 0.01)
     zeros = ([np.zeros_like(w) for w in net.weights],
              [np.zeros_like(b) for b in net.biases])
-    opt.apply(net, *zeros)
+    opt.apply(net, *zeros, 0.1)
     # zero gradients: parameters shrink by exactly (1 - lr*wd)
     assert np.allclose(net.get_flat(), before * (1 - 0.1 * 0.01))
 
@@ -259,65 +258,31 @@ def test_optimizer_grad_clipping_scale():
     net = Mlp([1, 1], [np.array([[1.0]])], [np.zeros(1)])
     # two equal updates, one with pre-scaled gradients and clipping disabled:
     # a gradient of norm 10 under clip 0.25 behaves as if scaled by 0.025
-    clipped = OptimState(net.copy(), OptimHyper(learning_rate=0.1, weight_decay=0.0,
-                                                grad_clip_norm=0.25))
-    manual = OptimState(net.copy(), OptimHyper(learning_rate=0.1, weight_decay=0.0,
-                                               grad_clip_norm=0.0))
+    clipped = OptimState(net.copy(), NetHyper(grad_clip=0.25), 0.0)
+    manual = OptimState(net.copy(), NetHyper(grad_clip=0.0), 0.0)
     n1, n2 = net.copy(), net.copy()
-    clipped.apply(n1, [np.array([[10.0]])], [np.zeros(1)])
-    manual.apply(n2, [np.array([[10.0 * 0.025]])], [np.zeros(1)])
+    clipped.apply(n1, [np.array([[10.0]])], [np.zeros(1)], 0.1)
+    manual.apply(n2, [np.array([[10.0 * 0.025]])], [np.zeros(1)], 0.1)
     assert np.allclose(n1.get_flat(), n2.get_flat())
 
 
 def test_optimizer_descends_quadratic():
     net = Mlp([1, 1], [np.array([[1.0]])], [np.zeros(1)])
-    opt = OptimState(net, OptimHyper(learning_rate=0.1, weight_decay=0.0,
-                                     grad_clip_norm=0.0))
+    opt = OptimState(net, NetHyper(grad_clip=0.0), 0.0)
     w_before = net.weights[0][0, 0]
-    opt.apply(net, [np.array([[2.0 * w_before]])], [np.zeros(1)])
+    opt.apply(net, [np.array([[2.0 * w_before]])], [np.zeros(1)], 0.1)
     assert net.weights[0][0, 0] < w_before
 
 
 def test_optimizer_rejects_non_finite():
     net = _net([2, 1])
-    opt = OptimState(net, OptimHyper())
+    hyper = NetHyper()
+    opt = OptimState(net, hyper, hyper.weight_decay)
     with pytest.raises(NonFiniteError):
-        opt.apply(net, [np.array([[np.nan], [0.0]])], [np.zeros(1)])
+        opt.apply(net, [np.array([[np.nan], [0.0]])], [np.zeros(1)], hyper.learning_rate)
 
 
 def test_init_determinism():
     a = _net([3, 7, 2], seed=9)
     b = _net([3, 7, 2], seed=9)
     assert np.array_equal(a.get_flat(), b.get_flat())
-
-
-# -- serialization -----------------------------------------------------------
-
-def test_net_round_trip():
-    net = _net([3, 5, 2], seed=4)
-    loaded = read_net_bytes(write_net_bytes(net))
-    assert loaded.layer_sizes == net.layer_sizes
-    assert np.array_equal(loaded.get_flat(), net.get_flat())
-
-
-def test_net_bad_magic():
-    data = bytearray(write_net_bytes(_net([2, 1])))
-    data[:8] = b"BADMAGIC"
-    with pytest.raises(SchemaError, match="magic"):
-        read_net_bytes(bytes(data))
-
-
-def test_net_bad_version():
-    data = bytearray(write_net_bytes(_net([2, 1])))
-    data[8:12] = (99).to_bytes(4, "little")
-    with pytest.raises(SchemaError, match="version"):
-        read_net_bytes(bytes(data))
-
-
-def test_net_with_optimizer_flag_is_schema_error():
-    """Checkpoints carry parameters only; a blob flagged as holding optimizer
-    state is rejected, not half-read."""
-    data = bytearray(write_net_bytes(_net([2, 1])))
-    data[-4:] = (1).to_bytes(4, "little")
-    with pytest.raises(SchemaError, match="optimizer"):
-        read_net_bytes(bytes(data))

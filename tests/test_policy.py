@@ -5,10 +5,11 @@ import gas
 from gas.dataset import AugmentConfig, sample_batch
 from gas.errors import ContractError
 from gas.goals import GoalNets, InputNorm, goal_loss
-from gas.nn import OptimHyper, OptimState, flatten_grads, grad_check
+from gas.nn import OptimState, flatten_grads, grad_check
 from gas.policy import (PolicyNet, TargetTracker, act, load_policy, policy_inputs,
                         policy_loss, save_policy, update_tracker)
 from gas.config import seed_streams
+from gas.training import NetHyper
 
 
 def _models(dataset, hidden=16, n_layers=3, seed=0):
@@ -142,7 +143,7 @@ def test_act_equals_separate_goal_and_policy_forwards(stitch_dataset, rng):
     nets, pol = _models(stitch_dataset, seed=10)
     pol.net.weights[-1][...] = rng.uniform(-0.5, 0.5, size=pol.net.weights[-1].shape)
     # as when loaded from two checkpoints: equal normalizations, distinct objects
-    pol = PolicyNet(pol.net, InputNorm.from_dict(pol.norm.to_dict()), pol.action_dim)
+    pol = PolicyNet(pol.net, InputNorm.from_dict(pol.norm.to_dict()))
     states = stitch_dataset.states[rng.integers(0, stitch_dataset.n, 7), 5]
     tracker = TargetTracker(rng.uniform(0, 20, 7), rng.uniform(0, 10, 7), t=5)
     tp = np.full(7, 5.0)
@@ -182,13 +183,13 @@ def test_train_policy_regresses_to_constant_action(chain_env):
         b[...] = 0.0
     nets.cost_net.biases[-1][...] = -1.0
     pol = PolicyNet.create(norm, 2, 1, 3, 32, 32, streams["init_policy"])
-    optim = OptimState(pol.net, OptimHyper(learning_rate=1e-3, weight_decay=0.0))
+    optim = OptimState(pol.net, NetHyper(), 0.0)
     cfg = AugmentConfig(epsilon=0.0)
     for _ in range(5000):
         batch = sample_batch(data, None, cfg, 128, streams["batch"], streams["relabel"])
         *_, adv = goal_loss(batch, nets, 0.8)
         _, grads, _ = policy_loss(batch, pol, 0.8, adv)
-        optim.apply(pol.net, *grads)
+        optim.apply(pol.net, *grads, 1e-3)
     batch = sample_batch(data, None, cfg, 512, np.random.default_rng(0))
     *_, adv = goal_loss(batch, nets, 0.8)
     actions = pol.forward(batch.states, batch.r_hat, batch.c_hat, adv.v_r,
