@@ -9,10 +9,10 @@ Library layout:
 * :mod:`gas.nn` -- numpy MLP, optimizer, expectile primitive, grad checker
 * :mod:`gas.goals` -- reward/cost goal functions (expectile regression) and
   the checkpoint bundle format (``write_bundle`` / ``read_bundle``)
-* :mod:`gas.policy` -- constrained advantage-weighted policy + tracking
+* :mod:`gas.policy` -- constrained advantage-weighted policy, batched ``act``
 * :mod:`gas.oracle` -- brute-force achievable-goal oracle, analytic planner
 * :mod:`gas.training` -- the training loop (interleaved or two-phase)
-* :mod:`gas.evaluate` -- metrics, sweeps, ablations
+* :mod:`gas.evaluate` -- target-conditioned rollouts, metrics, sweeps, ablations
 * :mod:`gas.config`, :mod:`gas.cli` -- run configuration and CLI
 """
 
@@ -25,8 +25,7 @@ from .errors import ConfigError, ContractError, GasError, NonFiniteError, Schema
 from .nn import expectile_term, expectile_weight, grad_check, solve_scalar_expectile
 from .goals import (AdvantagePair, GoalNets, InputNorm, goal_inputs, goal_loss,
                     load_goals, save_goals)
-from .policy import (PolicyNet, TargetTracker, act, load_policy, policy_loss,
-                     save_policy, update_tracker)
+from .policy import PolicyNet, act, load_policy, policy_loss, save_policy
 from .oracle import (ProbeQuery, brute_force_goal, chainrun_optimum,
                      chainrun_optimum_exhaustive, default_state_tolerance,
                      probe_grid_from_dataset)

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: gen-dataset, train, eval, sweep, ablate, oracle-check.
+Subcommands: gen-dataset, train, sweep, ablate, oracle-check.
 Configuration comes from an optional ``--config`` file plus ``key=value``
 overrides (CLI > file > defaults). GAS_OUT_DIR overrides the output
 directory. Exit codes: 0 success, 1 config error, 2 runtime error,
@@ -122,7 +122,7 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# metadata that eval, sweep and oracle-check read from goals.ckpt
+# metadata that sweep and oracle-check read from goals.ckpt
 _TRAIN_META_KEYS = ("env_name", "state_dim", "episode_length", "r_max", "c_max",
                     "alpha", "delta", "q_percent", "epsilon")
 
@@ -156,14 +156,10 @@ def _load_trained_goals(cfg: RunConfig, out: Path):
     return nets, gmeta, raw
 
 
-# the gate that sets the exit code: eval checks the cost budgets only,
-# sweep also checks that reward does not fall as the budget grows
-_EVAL_GATES = {"eval": "cost_within_tolerance", "sweep": "passed"}
-
-
-def cmd_evaluate(cfg: RunConfig, command: str) -> int:
-    """`gas eval` and `gas sweep`: evaluate the checkpoints at the configured
-    thresholds and write <command>.csv / <command>.json."""
+def cmd_evaluate(cfg: RunConfig) -> int:
+    """`gas sweep`: evaluate the checkpoints at the configured thresholds and
+    write sweep.csv / sweep.json; exit 3 unless every budget holds and reward
+    does not fall as the budget grows."""
     out = _out_dir(cfg)
     policy_path = _checkpoint_path(out, "policy.ckpt")
     nets, meta, goals_raw = _load_trained_goals(cfg, out)
@@ -176,14 +172,14 @@ def cmd_evaluate(cfg: RunConfig, command: str) -> int:
                                 "delta": meta["delta"], "q_percent": meta["q_percent"],
                                 "epsilon": meta["epsilon"]},
                       target_table=meta.get("reward_target_table"))
-    (out / f"{command}.csv").write_text(report.to_csv())
-    (out / f"{command}.json").write_text(report.to_json())
+    (out / "sweep.csv").write_text(report.to_csv())
+    (out / "sweep.json").write_text(report.to_json())
     gates = sweep_gates(report)
     for s in report.summary:
         print(f"threshold={s['threshold_frac']:.2f} reward_norm={s['reward_norm_mean']:.3f} "
               f"cost_norm={s['cost_norm_mean']:.3f}")
     print(f"gates: {json.dumps(gates, sort_keys=True)}")
-    return EXIT_OK if gates[_EVAL_GATES[command]] else EXIT_ACCEPTANCE
+    return EXIT_OK if gates["passed"] else EXIT_ACCEPTANCE
 
 
 def cmd_ablate(cfg: RunConfig, kind: str) -> int:
@@ -264,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("gen-dataset", "generate and save an offline dataset"),
         ("train", "train goal functions and policy"),
-        ("eval", "evaluate checkpoints at the configured thresholds"),
         ("sweep", "zero-shot threshold sweep of one checkpoint"),
         ("ablate", "train and evaluate ablation variants"),
         ("oracle-check", "compare goal nets against the brute-force oracle"),
@@ -287,8 +282,8 @@ def main(argv=None) -> int:
             return cmd_gen_dataset(cfg)
         if command == "train":
             return cmd_train(cfg)
-        if command in _EVAL_GATES:
-            return cmd_evaluate(cfg, command)
+        if command == "sweep":
+            return cmd_evaluate(cfg)
         if command == "ablate":
             return cmd_ablate(cfg, args.kind)
         if command == "oracle-check":

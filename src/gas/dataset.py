@@ -455,7 +455,8 @@ def save_dataset(dataset: OfflineDataset, path) -> None:
 
 
 def load_dataset(path, raw: "bytes | None" = None) -> OfflineDataset:
-    """Read a dataset file; a truncated or corrupt file raises SchemaError.
+    """Read a dataset file; a truncated or corrupt file, or one with bytes
+    after its last record, raises SchemaError.
     Parses ``raw``, the file's bytes already read, when given."""
     fh = io.BytesIO(Path(path).read_bytes() if raw is None else raw)
     with parsing(f"dataset {path}"):
@@ -474,8 +475,9 @@ def load_dataset(path, raw: "bytes | None" = None) -> OfflineDataset:
                 f"dimension mismatch for {name!r}: header says "
                 f"({state_dim}, {action_dim}), spec says ({spec.state_dim}, {spec.action_dim})")
         body = fh.read()
-        if len(body) < n_traj * T * (state_dim + action_dim + 2) * 8:
-            raise SchemaError("truncated trajectory data")
+        size = n_traj * T * (state_dim + action_dim + 2) * 8
+        if len(body) != size:
+            raise SchemaError(f"trajectory data is {len(body)} bytes, the header gives {size}")
         records = np.frombuffer(body, _record_dtype(T, state_dim, action_dim), count=n_traj)
         ds = OfflineDataset.from_arrays(spec, *(records[name].copy() for name in _RECORD_FIELDS))
     if not (np.isclose(ds.r_max, r_max) and np.isclose(ds.c_max, c_max)):

@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import AugmentConfig, OfflineDataset
 from .errors import ConfigError, ContractError
 from .goals import GoalNets
-from .policy import PolicyNet, TargetTracker, act, update_tracker
+from .policy import PolicyNet, act
 
 SAFETY_TOLERANCE = 1.1
 MONOTONE_TOLERANCE = 0.02
@@ -132,30 +132,35 @@ def rollout_policy(env, pol: PolicyNet, nets: GoalNets, r_targets, c_targets,
     cost budget) pair, stepped together: each step is one batched ``act``
     and one ``step_batch``. Returns the (B,) reward and cost returns.
 
-    ``trace`` receives one dict per (step, row) with the remaining targets
-    and the goal values the action was chosen from.
+    After each step the observed reward and cost are subtracted from the
+    remaining targets, which clamp at zero so the policy's inputs stay inside
+    the trained range. ``trace`` receives one dict per (step, row) with the
+    remaining targets and the goal values the action was chosen from.
     """
     if pol.norm.to_dict() != nets.norm.to_dict():
         raise ContractError("policy and goal nets have different input normalizations")
     T = env.spec.episode_length
-    tracker = TargetTracker(np.asarray(r_targets, dtype=np.float64),
-                            np.asarray(c_targets, dtype=np.float64))
-    states = np.tile(env.reset(), (tracker.r_remaining.shape[0], 1))
+    if (env.spec.state_dim, T) != (nets.norm.state_mean.shape[0], nets.norm.horizon):
+        raise ContractError(
+            f"env (state_dim, episode_length) ({env.spec.state_dim}, {T}) != checkpoint "
+            f"({nets.norm.state_mean.shape[0]}, {nets.norm.horizon})")
+    r_remaining = np.asarray(r_targets, dtype=np.float64)
+    c_remaining = np.asarray(c_targets, dtype=np.float64)
+    states = np.tile(env.reset(), (len(r_remaining), 1))
     total_r, total_c = np.zeros(len(states)), np.zeros(len(states))
     for t in range(T):
-        actions = act(pol, nets, states, tracker, T)
+        actions, v_r, v_c = act(pol, nets, states, r_remaining, c_remaining, t)
         next_states, r, c, _ = env.step_batch(states, actions, t)
         if trace is not None:
-            v_r, v_c = nets.values(states, tracker.r_remaining, tracker.c_remaining,
-                                   np.full(len(states), float(t)))
             for i in range(len(states)):
                 trace.append({"t": t, "row": i, "state": states[i].tolist(),
                               "action": actions[i].tolist(),
                               "reward": float(r[i]), "cost": float(c[i]),
-                              "r_remaining": float(tracker.r_remaining[i]),
-                              "c_remaining": float(tracker.c_remaining[i]),
+                              "r_remaining": float(r_remaining[i]),
+                              "c_remaining": float(c_remaining[i]),
                               "v_r": float(v_r[i]), "v_c": float(v_c[i])})
-        tracker = update_tracker(tracker, r, c)
+        r_remaining = np.maximum(r_remaining - r, 0.0)
+        c_remaining = np.maximum(c_remaining - c, 0.0)
         total_r += r
         total_c += c
         states = next_states
@@ -164,7 +169,7 @@ def rollout_policy(env, pol: PolicyNet, nets: GoalNets, r_targets, c_targets,
 
 def run_episode(env, pol: PolicyNet, nets: GoalNets, r_target: float,
                 c_target: float, trace: "list | None" = None) -> tuple[float, float]:
-    """One deterministic rollout with target bookkeeping; returns (R, C)."""
+    """One deterministic rollout of ``rollout_policy``; returns (R, C)."""
     rewards, costs = rollout_policy(env, pol, nets, [r_target], [c_target], trace)
     return float(rewards[0]), float(costs[0])
 
@@ -180,10 +185,6 @@ def evaluate(pol: PolicyNet, nets: GoalNets, env, cfg: EvalConfig, r_max: float,
     targets, the deployment convention) scaled by ``target_reward_fraction``;
     without a table they fall back to a flat fraction of r_max.
     """
-    if env.spec.state_dim != pol.norm.state_mean.shape[0]:
-        raise ContractError(
-            f"env state_dim {env.spec.state_dim} != checkpoint "
-            f"state_dim {pol.norm.state_mean.shape[0]}")
     fracs = sorted({float(f) for f in cfg.thresholds})
     r_targets = [resolve_reward_target(frac, r_max, cfg.target_reward_fraction, target_table)
                  for frac in fracs]

@@ -1,13 +1,12 @@
-"""Goal-guided deterministic policy and the test-time target bookkeeping.
+"""Goal-guided deterministic policy.
 
 The policy maps (state, reward target, cost target, goal values, t'/T) to a
 tanh-squashed action and is trained by constrained advantage-weighted
 regression: squared action error weighted by
 ``1(V^C < c_hat) * |alpha - 1(A_R < 0)|``, with the goal nets frozen.
 
-At test time a tracker carries the remaining targets: after each step the
-observed reward and cost are subtracted and the remainders clamp at zero so
-the policy's inputs stay inside the trained range.
+At test time ``act`` conditions it on the remaining targets, which
+``evaluate.rollout_policy`` carries from step to step.
 """
 
 from __future__ import annotations
@@ -82,43 +81,23 @@ def policy_loss(batch: TransitionBatch, pol: PolicyNet, alpha: float,
     return l_pi, grads, w
 
 
-@dataclass(frozen=True)
-class TargetTracker:
-    """Remaining (reward, cost) targets during an episode: floats for one
-    rollout, (B,) arrays for B rollouts stepped together."""
+def act(pol: PolicyNet, nets: GoalNets, states, r_remaining, c_remaining,
+        t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic actions for (B, d) states and (B,) remaining targets at
+    step ``t``, from one goal-net and one policy forward.
 
-    r_remaining: "float | np.ndarray"
-    c_remaining: "float | np.ndarray"
-    t: int = 0
-
-
-def update_tracker(tracker: TargetTracker, reward, cost) -> TargetTracker:
-    """Subtract the observed step and clamp both remainders at zero."""
-    return TargetTracker(
-        r_remaining=np.maximum(tracker.r_remaining - reward, 0.0),
-        c_remaining=np.maximum(tracker.c_remaining - cost, 0.0),
-        t=tracker.t + 1,
-    )
-
-
-def act(pol: PolicyNet, nets: GoalNets, state, tracker: TargetTracker, T: int) -> np.ndarray:
-    """Deterministic action from the current state and remaining targets.
-
-    A (d,) state gives an (action_dim,) action; (B, d) states with a tracker
-    of (B,) remainders give (B, action_dim) actions from one goal-net and one
-    policy forward. The goal input is built once and extended into the
-    policy input, so ``pol`` and ``nets`` must share one input normalization,
-    as models trained together do (``evaluate.rollout_policy`` checks it).
+    Returns the (B, action_dim) actions and the (B,) V^R and V^C they were
+    chosen from. The goal input is built once and extended into the policy
+    input, so ``pol`` and ``nets`` must share one input normalization, as
+    models trained together do (``evaluate.rollout_policy`` checks it).
     """
-    if tracker.t >= T:
-        raise ContractError(f"act called at t={tracker.t} >= T={T}")
-    states = np.atleast_2d(np.asarray(state, dtype=np.float64))
-    r = np.atleast_1d(np.asarray(tracker.r_remaining, dtype=np.float64))
-    c = np.atleast_1d(np.asarray(tracker.c_remaining, dtype=np.float64))
-    z = goal_inputs(nets.norm, states, r, c, np.full(len(states), float(tracker.t)))
+    T = nets.norm.horizon
+    if t >= T:
+        raise ContractError(f"act called at t={t} >= T={T}")
+    z = goal_inputs(nets.norm, states, r_remaining, c_remaining, np.full(len(states), float(t)))
     v_r, v_c = nets.reward_net.forward(z)[:, 0], nets.cost_net.forward(z)[:, 0]
     actions = np.tanh(pol.net.forward(_extend_goal_inputs(pol.norm, z, v_r, v_c)))
-    return actions[0] if np.ndim(state) == 1 else actions
+    return actions, v_r, v_c
 
 
 def save_policy(path, pol: PolicyNet, meta: dict) -> None:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import (AugmentConfig, OfflineDataset, ReshapeIndex, TransitionBatch,
-                      build_reshape_index, sample_batch)
+from .dataset import (AugmentConfig, OfflineDataset, TransitionBatch, build_reshape_index,
+                      sample_batch)
 from .errors import ConfigError, NonFiniteError
 from .goals import GoalNets, InputNorm, goal_loss
 from .nn import OptimState, net_buffers
@@ -91,7 +91,6 @@ class TrainResult:
     nets: GoalNets
     pol: PolicyNet
     history: list = field(default_factory=list)  # (iteration, l_r, l_c, l_pi)
-    reshape: "ReshapeIndex | None" = None
 
 
 def build_models(dataset: OfflineDataset, hyper: NetHyper,
@@ -158,4 +157,4 @@ def train_gas(dataset: OfflineDataset, cfg: AugmentConfig, hyper: NetHyper,
                 optim_p.apply(pol.net, *grads_p, lr)
             if it % log_every == 0:
                 history.append((it, l_r, l_c, l_pi))
-    return TrainResult(nets, pol, history, reshape)
+    return TrainResult(nets, pol, history)

@@ -180,7 +180,7 @@ def test_train_zero_iterations_equals_initialization(tmp_path):
 
 
 def test_eval_missing_checkpoint(tmp_path, capsys):
-    code = run(tmp_path, "eval")
+    code = run(tmp_path, "sweep")
     assert code == 1
     assert capsys.readouterr().err.startswith("config error: missing checkpoint")
 
@@ -188,7 +188,7 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
 def test_eval_env_mismatch(tmp_path, capsys):
     assert run(tmp_path, "train") == 0
     capsys.readouterr()
-    code = run(tmp_path, "eval", "env_name=GridCircle", "episode_length=8")
+    code = run(tmp_path, "sweep", "env_name=GridCircle", "episode_length=8")
     assert code == 2
     assert capsys.readouterr().err.startswith("error: env/checkpoint mismatch")
 
@@ -252,7 +252,7 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert (target / "dataset.gasdset").exists()
 
 
-EVERY_COMMAND = ["sweep", "eval", "ablate", "train", "gen-dataset", "oracle-check"]
+EVERY_COMMAND = ["sweep", "ablate", "train", "gen-dataset", "oracle-check"]
 
 
 def _assert_rejected_before_running(tmp_path, capsys, command, override, key):
@@ -281,7 +281,7 @@ def test_out_of_range_delta_exits_config_error(tmp_path, capsys, command):
     ("train", "n_layers=1"), ("train", "hidden=0"), ("train", "embedding=0"),
     ("train", "batch_size=-3"), ("train", "batch_size=0"), ("oracle-check", "n_traj=0"),
     ("train", "iterations=-5"), ("train", "seed=-1"),
-    ("sweep", "target_reward_fraction=nan"), ("eval", "target_reward_fraction=inf"),
+    ("sweep", "target_reward_fraction=nan"), ("sweep", "target_reward_fraction=inf"),
     ("sweep", "target_reward_fraction=0"),
     ("train", "alpha=1.0"), ("train", "alpha=nan"), ("sweep", "alpha=0"),
     ("train", "schedule=bogus"),
@@ -426,9 +426,8 @@ def test_oracle_check_needs_no_policy_checkpoint(tmp_path, capsys):
     (tmp_path / "policy.ckpt").unlink()
     assert run(tmp_path, "oracle-check") in (0, 3)
     assert (tmp_path / "oracle_check.json").exists()
-    for command in ("eval", "sweep"):  # these still need the policy
-        assert run(tmp_path, command) == 1
-        assert "policy.ckpt" in capsys.readouterr().err
+    assert run(tmp_path, "sweep") == 1  # which still needs the policy
+    assert "policy.ckpt" in capsys.readouterr().err
 
 
 def test_oracle_check_missing_dataset_exits_config_error(tmp_path, capsys):

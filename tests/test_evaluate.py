@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -190,11 +191,18 @@ def test_robustness_matches_threshold_sweep_point(chain_env, stitch_dataset, mod
 
 
 def test_eval_env_mismatch_rejected(stitch_dataset, models):
+    """Every rollout entry point checks the env against the models' input
+    normalization (fitted on a T=32 ChainRun corpus) before it steps."""
     nets, pol = models
-    grid = gas.make_env(gas.gridcircle_spec(64))
-    with pytest.raises(ContractError, match="state_dim"):
-        evaluate(pol, nets, grid, EvalConfig(thresholds=(0.5,)),
-                 stitch_dataset.r_max, stitch_dataset.c_max)
+    r_max, c_max = stitch_dataset.r_max, stitch_dataset.c_max
+    for spec in (gas.gridcircle_spec(64), gas.gridcircle_spec(32), gas.chainrun_spec(8)):
+        env = gas.make_env(spec)
+        mismatch = re.escape(f"({spec.state_dim}, {spec.episode_length}) != checkpoint (2, 32)")
+        for call in (lambda: evaluate(pol, nets, env, EvalConfig((0.5,)), r_max, c_max),
+                     lambda: run_episode(env, pol, nets, 10.0, 5.0),
+                     lambda: robustness_sweep(pol, nets, env, 0.5, [10.0], r_max, c_max)):
+            with pytest.raises(ContractError, match=mismatch):
+                call()
 
 
 def test_report_serialization_deterministic(chain_env, stitch_dataset, models):
@@ -233,3 +241,8 @@ def test_run_episode_trace(chain_env, stitch_dataset, models):
     assert trace[0]["c_remaining"] == 5.0
     assert {"t", "state", "action", "reward", "cost", "v_r", "v_c"} <= set(trace[0])
     assert sum(row["reward"] for row in trace) == pytest.approx(reward)
+    # the goal values are the ones the action was chosen from, at its step
+    for row in trace:
+        v_r, v_c = nets.values(np.array([row["state"]]), [row["r_remaining"]],
+                               [row["c_remaining"]], [float(row["t"])])
+        assert (row["v_r"], row["v_c"]) == (float(v_r[0]), float(v_c[0]))

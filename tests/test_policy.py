@@ -6,8 +6,8 @@ from gas.dataset import AugmentConfig, sample_batch
 from gas.errors import ContractError
 from gas.goals import GoalNets, InputNorm, goal_loss
 from gas.nn import OptimState, flatten_grads, grad_check
-from gas.policy import (PolicyNet, TargetTracker, act, load_policy, policy_inputs,
-                        policy_loss, save_policy, update_tracker)
+from gas.evaluate import rollout_policy
+from gas.policy import PolicyNet, act, load_policy, policy_inputs, policy_loss, save_policy
 from gas.config import seed_streams
 from gas.training import NetHyper
 
@@ -89,80 +89,115 @@ def test_policy_gradients_match_finite_differences(stitch_dataset):
     assert err < 1e-4
 
 
-# -- tracker --------------------------------------------------------------------
+# -- remaining targets ----------------------------------------------------------
 
-def test_update_tracker_subtracts():
-    tr = TargetTracker(10.0, 3.0)
-    tr = update_tracker(tr, 1.0, 0.0)
-    assert (tr.r_remaining, tr.c_remaining, tr.t) == (9.0, 3.0, 1)
-
-
-def test_update_tracker_clamps_at_zero():
-    tr = TargetTracker(0.5, 0.0)
-    tr = update_tracker(tr, 1.0, 1.0)
-    assert (tr.r_remaining, tr.c_remaining) == (0.0, 0.0)
-
-
-def test_update_tracker_identity_on_zero_steps():
-    tr = TargetTracker(4.0, 2.0)
-    for _ in range(32):
-        tr = update_tracker(tr, 0.0, 0.0)
-    assert (tr.r_remaining, tr.c_remaining, tr.t) == (4.0, 2.0, 32)
+def _rows(env, pol, nets, r_targets, c_targets) -> list:
+    """The trace of one batched rollout, split into one list of steps per row;
+    every step's remainders are the last step's minus what it observed,
+    clamped at zero."""
+    trace = []
+    rollout_policy(env, pol, nets, r_targets, c_targets, trace)
+    rows = [[step for step in trace if step["row"] == i] for i in range(len(r_targets))]
+    for steps, r_target, c_target in zip(rows, r_targets, c_targets):
+        assert [step["t"] for step in steps] == list(range(env.spec.episode_length))
+        assert (steps[0]["r_remaining"], steps[0]["c_remaining"]) == (r_target, c_target)
+        for now, after in zip(steps, steps[1:]):
+            assert after["r_remaining"] == max(now["r_remaining"] - now["reward"], 0.0)
+            assert after["c_remaining"] == max(now["c_remaining"] - now["cost"], 0.0)
+    return rows
 
 
-def test_rollout_bookkeeping_step_exact(chain_env, stitch_dataset):
+def _headed(pol, rng) -> PolicyNet:
+    """``pol`` with a random output layer biased to move, so actions vary
+    along a rollout and both earn reward and spend cost."""
+    net = pol.net.copy()
+    net.weights[-1][...] = rng.uniform(-0.3, 0.3, size=net.weights[-1].shape)
+    net.biases[-1][...] = 0.3
+    return PolicyNet(net, pol.norm)
+
+
+def test_rollout_remaining_targets_subtract_each_step(chain_env, stitch_dataset, rng):
+    """Targets above anything an episode can earn or spend never reach the
+    clamp: each step subtracts exactly what it observed."""
+    nets, pol = _models(stitch_dataset, seed=7)
+    rows = _rows(chain_env, _headed(pol, rng), nets, [40.0, 50.0], [40.0, 35.0])
+    for steps in rows:
+        assert sum(step["reward"] for step in steps) > 0
+        assert sum(step["cost"] for step in steps) > 0
+        for now, after in zip(steps, steps[1:]):
+            assert after["r_remaining"] == now["r_remaining"] - now["reward"] > 0
+            assert after["c_remaining"] == now["c_remaining"] - now["cost"] > 0
+
+
+def test_rollout_remaining_targets_clamp_at_zero(chain_env, stitch_dataset):
+    """A step that earns or spends more than is left leaves zero, not less."""
+    nets, pol = _models(stitch_dataset, seed=7)
+    spender = PolicyNet(pol.net.copy(), pol.norm)
+    spender.net.biases[-1][...] = 1.0  # action tanh(1): reward 0.88 and cost 1 each step
+    (steps,) = _rows(chain_env, spender, nets, [0.5], [0.0])
+    assert steps[0]["r_remaining"] - steps[0]["reward"] < 0
+    assert steps[0]["c_remaining"] - steps[0]["cost"] < 0
+    assert all((step["r_remaining"], step["c_remaining"]) == (0.0, 0.0) for step in steps[1:])
+
+
+def test_rollout_remaining_targets_unchanged_by_zero_steps(chain_env, stitch_dataset):
+    nets, pol = _models(stitch_dataset, seed=7)
+    idle = PolicyNet(pol.net.copy(), pol.norm)
+    idle.net.biases[-1][...] = -40.0  # action -1: no reward and no cost
+    (steps,) = _rows(chain_env, idle, nets, [4.0], [2.0])
+    assert all((step["reward"], step["cost"]) == (0.0, 0.0) for step in steps)
+    assert all((step["r_remaining"], step["c_remaining"]) == (4.0, 2.0) for step in steps)
+
+
+def test_rollout_bookkeeping_step_exact(chain_env, stitch_dataset, rng):
     """r_target - r_remaining equals the clamp-adjusted observed reward."""
     nets, pol = _models(stitch_dataset, seed=8)
-    T = chain_env.spec.episode_length
-    tracker = TargetTracker(12.0, 5.0)
-    state = chain_env.reset()
+    (steps,) = _rows(chain_env, _headed(pol, rng), nets, [12.0], [5.0])
     clamp_adjusted = 0.0
-    for t in range(T):
-        action = act(pol, nets, state, tracker, T)
-        state, r, c, _ = chain_env.step(state, action, t)
-        clamp_adjusted += min(r, tracker.r_remaining)
-        tracker = update_tracker(tracker, r, c)
-        assert 12.0 - tracker.r_remaining == pytest.approx(clamp_adjusted)
+    for now, after in zip(steps, steps[1:]):
+        clamp_adjusted += min(now["reward"], now["r_remaining"])
+        assert 12.0 - after["r_remaining"] == pytest.approx(clamp_adjusted)
+    assert steps[-1]["r_remaining"] == 0.0  # the target is met before the end
 
 
 # -- acting -----------------------------------------------------------------------
 
 def test_act_deterministic_and_in_range(stitch_dataset):
     nets, pol = _models(stitch_dataset, seed=9)
-    state = np.array([1.5, 0.25])
-    tracker = TargetTracker(20.0, 8.0, t=8)
-    a1 = act(pol, nets, state, tracker, 32)
-    a2 = act(pol, nets, state, tracker, 32)
+    states = np.array([[1.5, 0.25], [0.0, 1.0]])
+    r, c = np.array([20.0, 5.0]), np.array([8.0, 0.0])
+    a1, v_r1, v_c1 = act(pol, nets, states, r, c, 8)
+    a2, v_r2, v_c2 = act(pol, nets, states, r, c, 8)
+    assert a1.shape == (2, pol.action_dim) and v_r1.shape == v_c1.shape == (2,)
     assert np.array_equal(a1, a2)
+    assert np.array_equal(v_r1, v_r2) and np.array_equal(v_c1, v_c2)
     assert np.all(np.abs(a1) <= 1.0)
 
 
 def test_act_equals_separate_goal_and_policy_forwards(stitch_dataset, rng):
     """act builds the goal input once and extends it into the policy input;
-    the actions are bit-identical to evaluating both nets from the states."""
+    the actions and goal values are bit-identical to evaluating both nets
+    from the states."""
     nets, pol = _models(stitch_dataset, seed=10)
     pol.net.weights[-1][...] = rng.uniform(-0.5, 0.5, size=pol.net.weights[-1].shape)
     # as when loaded from two checkpoints: equal normalizations, distinct objects
     pol = PolicyNet(pol.net, InputNorm.from_dict(pol.norm.to_dict()))
     states = stitch_dataset.states[rng.integers(0, stitch_dataset.n, 7), 5]
-    tracker = TargetTracker(rng.uniform(0, 20, 7), rng.uniform(0, 10, 7), t=5)
+    r, c = rng.uniform(0, 20, 7), rng.uniform(0, 10, 7)
     tp = np.full(7, 5.0)
-    v_r, v_c = nets.values(states, tracker.r_remaining, tracker.c_remaining, tp)
-    expected = pol.forward(states, tracker.r_remaining, tracker.c_remaining, v_r, v_c, tp)
-    actions = act(pol, nets, states, tracker, 32)
+    v_r, v_c = nets.values(states, r, c, tp)
+    expected = pol.forward(states, r, c, v_r, v_c, tp)
+    actions, act_v_r, act_v_c = act(pol, nets, states, r, c, 5)
     assert np.array_equal(actions, expected)
+    assert np.array_equal(act_v_r, v_r) and np.array_equal(act_v_c, v_c)
     assert np.unique(actions).size > 1
-    # one (d,) state: the same against one-row forwards
-    r, c = tracker.r_remaining[:1], tracker.c_remaining[:1]
-    v_r, v_c = nets.values(states[:1], r, c, tp[:1])
-    expected = pol.forward(states[:1], r, c, v_r, v_c, tp[:1])[0]
-    assert np.array_equal(act(pol, nets, states[0], TargetTracker(r[0], c[0], t=5), 32), expected)
 
 
 def test_act_past_horizon_rejected(stitch_dataset):
     nets, pol = _models(stitch_dataset)
+    assert nets.norm.horizon == 32
     with pytest.raises(ContractError):
-        act(pol, nets, np.array([0.0, 1.0]), TargetTracker(1.0, 1.0, t=32), 32)
+        act(pol, nets, np.array([[0.0, 1.0]]), np.array([1.0]), np.array([1.0]), 32)
 
 
 # -- training ---------------------------------------------------------------------

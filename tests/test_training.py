@@ -103,10 +103,18 @@ def test_train_gas_rejects_unknown_schedule(stitch_dataset):
                   seed_streams(0), schedule="sideways")
 
 
-def test_no_reshape_skips_index(stitch_dataset):
-    res = train_gas(stitch_dataset, AugmentConfig(epsilon=0.0), SMALL, 0.8, 10,
-                    seed_streams(0))
-    assert res.reshape is None
+def test_no_reshape_skips_index(stitch_dataset, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return gas.build_reshape_index(*args)
+
+    monkeypatch.setattr(gas.training, "build_reshape_index", spy)
+    train_gas(stitch_dataset, AugmentConfig(epsilon=0.0), SMALL, 0.8, 10, seed_streams(0))
+    assert calls == []
+    train_gas(stitch_dataset, AugmentConfig(epsilon=0.5), SMALL, 0.8, 1, seed_streams(0))
+    assert len(calls) == 1
 
 
 def test_lr_schedule_endpoints():
