@@ -12,7 +12,7 @@ reward net only through its own output and likewise for the cost net.
 
 Trained nets are saved as checkpoint bundles (``write_bundle``/``read_bundle``):
 one JSON header with the metadata, the input normalization and each net's
-layer sizes, followed by every parameter as little-endian f64.
+layer sizes, followed by each net's ``Mlp.params`` as little-endian f64.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import OfflineDataset, TransitionBatch
 from .errors import ContractError, SchemaError, parsing
-from .nn import Mlp, NetBuffers, expectile_weight, layer_sizes
+from .nn import Mlp, NetBuffers, expectile_weight, layer_sizes, param_count
 
 BUNDLE_MAGIC = b"GASPACK1"
 BUNDLE_VERSION = 2
@@ -76,16 +76,30 @@ class InputNorm:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputNorm":
-        return cls(np.array(d["state_mean"]), np.array(d["state_scale"]),
-                   float(d["r_scale"]), float(d["c_scale"]), int(d["horizon"]))
+        """The inverse of ``to_dict``; a value no fit gives raises SchemaError."""
+        mean, scale = np.array(d["state_mean"], float), np.array(d["state_scale"], float)
+        r_scale, c_scale, horizon = float(d["r_scale"]), float(d["c_scale"]), d["horizon"]
+        if not (mean.ndim == 1 and mean.shape == scale.shape and np.isfinite(mean).all()
+                and ((0 < scale) & (scale < math.inf)).all()):
+            raise SchemaError("norm state_mean and state_scale must be equal-length lists of "
+                              "finite numbers, every scale > 0")
+        if not (0 < r_scale < math.inf and 0 < c_scale < math.inf):
+            raise SchemaError(f"norm r_scale, c_scale must be finite and > 0: {r_scale}, {c_scale}")
+        if type(horizon) is not int or horizon < 1:  # a JSON float or boolean is no horizon
+            raise SchemaError(f"norm horizon must be an integer >= 1, got {horizon!r}")
+        return cls(mean, scale, r_scale, c_scale, horizon)
 
 
 def goal_inputs(norm: InputNorm, states: np.ndarray, r_hat, c_hat, t_prime) -> np.ndarray:
-    """Assemble [normalized state, r_hat/r_scale, c_hat/c_scale, t'/T]."""
+    """[normalized state, r_hat/r_scale, c_hat/c_scale, t'/T], one row per
+    state and per entry of each of ``r_hat``, ``c_hat`` and ``t_prime``."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     r_hat = np.asarray(r_hat, dtype=np.float64).reshape(-1)
     c_hat = np.asarray(c_hat, dtype=np.float64).reshape(-1)
     t_prime = np.asarray(t_prime, dtype=np.float64).reshape(-1)
+    if not len(states) == len(r_hat) == len(c_hat) == len(t_prime):
+        raise ContractError(f"{len(states)} states with {len(r_hat)} r_hat, {len(c_hat)} "
+                            f"c_hat and {len(t_prime)} t_prime values")
     return np.column_stack([
         norm.normalize_states(states),
         r_hat / norm.r_scale,
@@ -167,8 +181,8 @@ def goal_loss(batch: TransitionBatch, nets: GoalNets, alpha: float, *,
 def write_bundle(path, tagged_nets: dict, norm: InputNorm, meta: dict) -> None:
     """Magic, then (version, header length) as ``<II``, then the JSON header:
     ``meta`` plus ``norm`` and ``nets`` = {tag: layer sizes}. Then each net's
-    weights and biases as little-endian f64, nets in tag order and layers in
-    order. Sorted keys and compact separators keep reruns byte-identical."""
+    ``params`` as little-endian f64, nets in tag order. Sorted keys and
+    compact separators keep reruns byte-identical."""
     tags = sorted(tagged_nets)
     header = dict(meta, norm=norm.to_dict(),
                   nets={tag: tagged_nets[tag].layer_sizes for tag in tags})
@@ -178,16 +192,13 @@ def write_bundle(path, tagged_nets: dict, norm: InputNorm, meta: dict) -> None:
         fh.write(struct.pack("<II", BUNDLE_VERSION, len(header_bytes)))
         fh.write(header_bytes)
         for tag in tags:
-            net = tagged_nets[tag]
-            for w, b in zip(net.weights, net.biases):
-                fh.write(np.ascontiguousarray(w, dtype="<f8"))
-                fh.write(np.ascontiguousarray(b, dtype="<f8"))
+            fh.write(np.ascontiguousarray(tagged_nets[tag].params, dtype="<f8"))
 
 
 def read_bundle(path, raw: "bytes | None" = None) -> tuple[dict, InputNorm, dict]:
     """Returns ({tag: Mlp}, norm, metadata); a corrupt file raises SchemaError.
-    Parses ``raw``, the file's bytes already read, when given. Each parameter
-    array is copied once out of those bytes into its own writable memory."""
+    Parses ``raw``, the file's bytes already read, when given. Each net's
+    parameters are copied once out of those bytes into its own writable vector."""
     raw = Path(path).read_bytes() if raw is None else raw
     with parsing(f"checkpoint bundle {path}"):
         if raw[:8] != BUNDLE_MAGIC:
@@ -205,15 +216,10 @@ def read_bundle(path, raw: "bytes | None" = None) -> tuple[dict, InputNorm, dict
                     and all(type(n) is int and n > 0 for n in sizes)):
                 raise SchemaError(f"net {tag!r} layer sizes must be two or more positive "
                                   f"integers, got {sizes!r}")
-            params = []  # each layer's weights, then its biases
-            for n_in, n_out in zip(sizes, sizes[1:]):
-                for shape in ((n_in, n_out), (n_out,)):
-                    # a short payload or an overflowing count: ValueError or OverflowError
-                    count = math.prod(shape)
-                    params.append(np.frombuffer(raw, "<f8", count, offset)
-                                  .astype(np.float64).reshape(shape))
-                    offset += 8 * count
-            nets[tag] = Mlp(sizes, params[0::2], params[1::2])
+            # a short payload or an overflowing count: ValueError or OverflowError
+            count = param_count(sizes)
+            nets[tag] = Mlp(sizes, np.frombuffer(raw, "<f8", count, offset).astype(np.float64))
+            offset += 8 * count
         if offset != len(raw):
             raise SchemaError(f"{len(raw) - offset} bytes after the last net")
     return nets, norm, meta

@@ -3,8 +3,9 @@
 Everything is double-precision numpy: ReLU hidden layers, identity output,
 an adaptive-moment optimizer with global gradient-norm clipping and
 decoupled weight decay, the asymmetric-squared (expectile) loss primitive,
-and a central-finite-difference gradient checker. Nets are saved inside
-the checkpoint bundles of ``gas.goals``.
+and a central-finite-difference gradient checker. Each net's parameters
+are one vector in the ``param_views`` layout, stored as is in the checkpoint
+bundles of ``gas.goals``.
 """
 
 from __future__ import annotations
@@ -25,23 +26,40 @@ def layer_sizes(n_in: int, n_out: int, n_layers: int, hidden: int, embedding: in
     return [n_in, embedding] + [hidden] * (n_layers - 2) + [n_out]
 
 
-class Mlp:
-    """Affine + ReLU stack; identity on the output layer."""
+def param_count(layer_sizes: Sequence[int]) -> int:
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(layer_sizes, layer_sizes[1:]))
 
-    def __init__(self, layer_sizes: Sequence[int], weights, biases):
+
+def param_views(flat: np.ndarray, layer_sizes: Sequence[int]) -> tuple[list, list]:
+    """(weights, biases) as views of ``flat``, which holds layer after layer
+    the (n_in, n_out) weights row-major and then the (n_out,) biases."""
+    if flat.shape != (param_count(layer_sizes),):
+        raise ContractError(f"{flat.shape} vector for {param_count(layer_sizes)} parameters")
+    weights, biases, i = [], [], 0
+    for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
+        weights.append(flat[i:i + n_in * n_out].reshape(n_in, n_out))
+        biases.append(flat[i + n_in * n_out:i + (n_in + 1) * n_out])
+        i += (n_in + 1) * n_out
+    return weights, biases
+
+
+class Mlp:
+    """Affine + ReLU stack; identity on the output layer. ``weights[i]`` and
+    ``biases[i]`` are views of ``params``, the one vector of every parameter."""
+
+    def __init__(self, layer_sizes: Sequence[int], params: np.ndarray):
         self.layer_sizes = list(layer_sizes)
-        self.weights = weights  # list of (n_in, n_out)
-        self.biases = biases    # list of (n_out,)
+        self.params = params
+        self.weights, self.biases = param_views(params, self.layer_sizes)
 
     @classmethod
     def init(cls, layer_sizes: Sequence[int], rng: np.random.Generator) -> "Mlp":
         """He-style uniform fan-in initialization, zero biases."""
-        weights, biases = [], []
-        for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            bound = np.sqrt(6.0 / n_in)
-            weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
-            biases.append(np.zeros(n_out))
-        return cls(layer_sizes, weights, biases)
+        net = cls(layer_sizes, np.zeros(param_count(layer_sizes)))
+        for w in net.weights:
+            bound = np.sqrt(6.0 / w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+        return net
 
     @property
     def n_layers(self) -> int:
@@ -84,9 +102,9 @@ class Mlp:
         """Gradients of sum(output * upstream) w.r.t. every parameter.
 
         ReLU subgradient at exactly 0 is 0. Returns (weight grads, bias grads)
-        shaped like the parameters. They are written into the buffers the
-        forward pass was given (fresh ones if it had none) and alias them
-        until the next backward on the same buffers.
+        shaped like the parameters: the ``d_weights``/``d_biases`` views of
+        the ``d_params`` of the buffers the forward pass was given (fresh
+        ones if it had none), valid until the next backward on them.
         """
         acts, bufs = cache
         g = np.asarray(upstream, dtype=np.float64)
@@ -117,34 +135,26 @@ class Mlp:
                 g = below
         return bufs.d_weights, bufs.d_biases
 
-    # -- flat views used by the checker and the tests --------------------
+    # -- flat copies used by the checker and the tests --------------------
 
     def get_flat(self) -> np.ndarray:
-        return flatten_grads(self.weights, self.biases)
+        return self.params.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        i = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = flat[i:i + w.size].reshape(w.shape)
-            i += w.size
-            b[...] = flat[i:i + b.size]
-            i += b.size
-        if i != flat.size:
-            raise ContractError(f"flat vector size {flat.size} != {i} parameters")
+        if flat.shape != self.params.shape:
+            raise ContractError(f"flat vector shape {flat.shape} != {self.params.shape}")
+        self.params[...] = flat
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return Mlp(self.layer_sizes, self.params.copy())
 
 
 class NetBuffers:
     """Arrays one Mlp's ``forward_cached``/``backward`` write into, at one batch size.
 
-    ``acts`` holds each layer's output and ``d_weights``/``d_biases`` the
-    gradients. ``grads`` and ``masks`` are the backprop temporaries: (batch,
+    ``acts`` holds each layer's output and ``d_params`` the gradient, laid
+    out like ``Mlp.params``; ``d_weights``/``d_biases`` are its per-layer
+    views. ``grads`` and ``masks`` are the backprop temporaries: (batch,
     width) views of two ping-pong buffers and one bool mask. All NetBuffers
     made by one ``net_buffers`` call share those three arrays.
     """
@@ -154,8 +164,8 @@ class NetBuffers:
         sizes = net.layer_sizes
         last = net.n_layers - 1
         self.acts = [np.empty((batch, n)) for n in sizes[1:]]
-        self.d_weights = [np.empty_like(w) for w in net.weights]
-        self.d_biases = [np.empty_like(b) for b in net.biases]
+        self.d_params = np.empty_like(net.params)
+        self.d_weights, self.d_biases = param_views(self.d_params, sizes)
         # grads[i] is the gradient at layer i's output; consecutive layers alternate
         self.grads = [(ping if (last - 1 - i) % 2 == 0 else pong)[:batch * n].reshape(batch, n)
                       for i, n in enumerate(sizes[1:-1])]
@@ -170,11 +180,8 @@ def net_buffers(nets: Sequence[Mlp], batch: int) -> list:
 
 
 def flatten_grads(d_weights, d_biases) -> np.ndarray:
-    parts = []
-    for dw, db in zip(d_weights, d_biases):
-        parts.append(dw.ravel())
-        parts.append(db.ravel())
-    return np.concatenate(parts)
+    """A copy of per-layer gradients as one vector in the ``param_views`` layout."""
+    return np.concatenate([a.ravel() for layer in zip(d_weights, d_biases) for a in layer])
 
 
 class OptimState:
@@ -182,62 +189,48 @@ class OptimState:
 
     The betas and the clip norm come from ``hyper`` (a ``NetHyper``), the
     decoupled weight decay from ``weight_decay``, and each step's learning
-    rate from its ``apply`` call. ``apply`` computes in two scratch arrays
-    sized for the net's largest parameter, so a step allocates no array.
+    rate from its ``apply`` call. The moments ``m``, ``v`` and two scratch
+    vectors are laid out like ``Mlp.params``; a step allocates no array.
     """
 
     def __init__(self, net: Mlp, hyper, weight_decay: float):
-        self.hyper = hyper
-        self.weight_decay = weight_decay
-        self.step_count = 0
-        self.m_weights = [np.zeros_like(w) for w in net.weights]
-        self.m_biases = [np.zeros_like(b) for b in net.biases]
-        self.v_weights = [np.zeros_like(w) for w in net.weights]
-        self.v_biases = [np.zeros_like(b) for b in net.biases]
-        params = list(net.weights) + list(net.biases)
-        size = max(p.size for p in params)
-        a, b = np.empty(size), np.empty(size)
-        self._scratch = [(a[:p.size].reshape(p.shape), b[:p.size].reshape(p.shape))
-                         for p in params]
+        self.hyper, self.weight_decay, self.step_count = hyper, weight_decay, 0
+        self.m, self.v = np.zeros_like(net.params), np.zeros_like(net.params)
+        self._s, self._t = np.empty_like(net.params), np.empty_like(net.params)
+        # the norm sums the squares array by array, weights then biases, so
+        # the clip scale has a per-array step's bits
+        weights, biases = param_views(self._s, net.layer_sizes)
+        self._square_parts = weights + biases
 
-    def apply(self, net: Mlp, d_weights, d_biases, learning_rate: float) -> None:
+    def apply(self, net: Mlp, d_params: np.ndarray, learning_rate: float) -> None:
         """One update: clip by global norm, decay weights, then moment step."""
-        grads = list(d_weights) + list(d_biases)
-        total = 0.0
-        for g, (s, _) in zip(grads, self._scratch):
-            total += float(np.sum(np.multiply(g, g, out=s)))
-        norm = float(np.sqrt(total))
+        h, p, m, v, s, t = self.hyper, net.params, self.m, self.v, self._s, self._t
+        np.multiply(d_params, d_params, out=s)
+        norm = float(np.sqrt(sum(float(np.sum(part)) for part in self._square_parts)))
         if not np.isfinite(norm):
             raise NonFiniteError(f"non-finite gradient (norm={norm}); step aborted")
-        h = self.hyper
-        scale = 1.0
-        if h.grad_clip > 0.0 and norm > h.grad_clip:
-            scale = h.grad_clip / norm
+        scale = h.grad_clip / norm if 0.0 < h.grad_clip < norm else 1.0
         self.step_count += 1
         bc1 = 1.0 - h.beta1 ** self.step_count
         bc2 = 1.0 - h.beta2 ** self.step_count
         decay = 1.0 - learning_rate * self.weight_decay
-        params = list(net.weights) + list(net.biases)
-        moments1 = self.m_weights + self.m_biases
-        moments2 = self.v_weights + self.v_biases
-        for p, g, m, v, (s, t) in zip(params, grads, moments1, moments2, self._scratch):
-            if decay != 1.0:
-                p *= decay
-            g = np.multiply(g, scale, out=s)
-            m *= h.beta1
-            m += np.multiply(g, 1.0 - h.beta1, out=t)
-            v *= h.beta2
-            np.multiply(g, 1.0 - h.beta2, out=t)
-            v += np.multiply(t, g, out=t)
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that expression's
-            # evaluation order, so the bits are the same
-            np.divide(m, bc1, out=s)
-            s *= learning_rate
-            np.divide(v, bc2, out=t)
-            np.sqrt(t, out=t)
-            t += _ADAM_EPS
-            s /= t
-            p -= s
+        if decay != 1.0:
+            p *= decay
+        g = np.multiply(d_params, scale, out=s)
+        m *= h.beta1
+        m += np.multiply(g, 1.0 - h.beta1, out=t)
+        v *= h.beta2
+        np.multiply(g, 1.0 - h.beta2, out=t)
+        v += np.multiply(t, g, out=t)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that expression's
+        # evaluation order, so the bits are the same
+        np.divide(m, bc1, out=s)
+        s *= learning_rate
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += _ADAM_EPS
+        s /= t
+        p -= s
 
 
 # -- expectile primitive --------------------------------------------------

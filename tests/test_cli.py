@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +353,28 @@ def test_checkpoint_without_training_metadata_exits_runtime_error(tmp_path, caps
     gas.save_goals(tmp_path / "goals.ckpt", nets, {"note": "no training metadata"})
     assert run(tmp_path, "sweep") == 2
     assert "metadata lacks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("norm, match", [
+    ({"state_scale": [1.0, 1.0, 1.0]}, "norm state_mean and state_scale must be equal-length"),
+    ({"r_scale": 0}, "norm r_scale, c_scale must be finite and > 0"),
+])
+def test_checkpoint_with_impossible_norm_exits_runtime_error(tmp_path, capsys, norm, match):
+    """Checkpoint headers whose input normalization no fit can give stop
+    `gas sweep` before any rollout: exit 2, no report, no traceback."""
+    assert run(tmp_path, "train") == 0
+    for name in ("goals.ckpt", "policy.ckpt"):
+        path = tmp_path / name
+        raw = path.read_bytes()
+        (n,) = struct.unpack_from("<I", raw, 12)
+        header = json.loads(raw[16:16 + n])
+        header["norm"].update(norm)
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + n:])
+    assert run(tmp_path, "sweep") == 2
+    err = capsys.readouterr().err
+    assert match in err and "Traceback" not in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # -- oracle-check and the checkpoint's corpus ------------------------------------

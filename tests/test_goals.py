@@ -8,7 +8,8 @@ import gas
 from gas.dataset import AugmentConfig, sample_batch
 from gas.errors import ContractError, SchemaError
 from gas.goals import GoalNets, InputNorm, goal_inputs, goal_loss, load_goals, save_goals
-from gas.nn import flatten_grads, grad_check
+from gas.nn import OptimState, flatten_grads, grad_check
+from gas.training import NetHyper
 from gas.config import seed_streams
 
 
@@ -211,11 +212,12 @@ def _saved_goals(tmp_path, dataset) -> bytes:
     return path.read_bytes()
 
 
-def _with_nets(raw: bytes, **nets) -> bytes:
-    """``raw`` with its header's layer sizes of ``nets`` replaced, the parameters kept."""
+def _with_header(raw: bytes, part: str, **values) -> bytes:
+    """``raw`` with ``values`` replaced in its header's ``part`` ("nets" or
+    "norm"), the parameters kept."""
     (n,) = struct.unpack_from("<I", raw, 12)
     header = json.loads(raw[16:16 + n])
-    header["nets"].update(nets)
+    header[part].update(values)
     blob = json.dumps(header).encode()
     return raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + n:]
 
@@ -225,12 +227,23 @@ def _with_nets(raw: bytes, **nets) -> bytes:
     (lambda raw: raw[:8] + struct.pack("<I", 1) + raw[12:], "unsupported bundle version 1"),
     (lambda raw: raw[:-8], "corrupt"),
     (lambda raw: raw + bytes(8), "8 bytes after the last net"),
-    (lambda raw: _with_nets(raw, cost=[4]), "layer sizes"),
-    (lambda raw: _with_nets(raw, cost=[4, 0]), "layer sizes"),
-    (lambda raw: _with_nets(raw, cost=[4.5, 1]), "layer sizes"),
-    (lambda raw: _with_nets(raw, cost=[5, True]), "layer sizes"),
+    (lambda raw: _with_header(raw, "nets", cost=[4]), "layer sizes"),
+    (lambda raw: _with_header(raw, "nets", cost=[4, 0]), "layer sizes"),
+    (lambda raw: _with_header(raw, "nets", cost=[4.5, 1]), "layer sizes"),
+    (lambda raw: _with_header(raw, "nets", cost=[5, True]), "layer sizes"),
+    (lambda raw: _with_header(raw, "norm", state_scale=[1.0, 1.0, 1.0]), "equal-length"),
+    (lambda raw: _with_header(raw, "norm", state_mean=[[0.0, 0.0]],
+                              state_scale=[[1.0, 1.0]]), "equal-length"),
+    (lambda raw: _with_header(raw, "norm", state_mean=[0.0, float("nan")]), "finite"),
+    (lambda raw: _with_header(raw, "norm", state_scale=[1.0, 0.0]), "scale > 0"),
+    (lambda raw: _with_header(raw, "norm", r_scale=0), "r_scale"),
+    (lambda raw: _with_header(raw, "norm", c_scale=float("inf")), "c_scale"),
+    (lambda raw: _with_header(raw, "norm", horizon=0), "horizon"),
+    (lambda raw: _with_header(raw, "norm", horizon=32.5), "horizon"),
+    (lambda raw: _with_header(raw, "norm", horizon=True), "horizon"),
 ], ids=["magic", "version_1", "short", "trailing", "one_size", "zero_size", "float_size",
-        "bool_size"])
+        "bool_size", "scale_length", "norm_2d", "nan_mean", "zero_state_scale",
+        "zero_r_scale", "inf_c_scale", "zero_horizon", "float_horizon", "bool_horizon"])
 def test_corrupt_goals_bundle_is_schema_error(tmp_path, stitch_dataset, corrupt, match):
     path = tmp_path / "corrupt.ckpt"
     path.write_bytes(corrupt(_saved_goals(tmp_path, stitch_dataset)))
@@ -241,7 +254,8 @@ def test_corrupt_goals_bundle_is_schema_error(tmp_path, stitch_dataset, corrupt,
 def test_goals_bundle_layout_and_writable_parameters(tmp_path, stitch_dataset):
     """Magic, version, header length, the JSON header, then every parameter
     as f64 and nothing else; loaded parameters are writable copies that share
-    no memory with the file's bytes."""
+    no memory with the file's bytes. Each net's weights and biases are views
+    of its ``params`` after init, copy, load and an optimizer step."""
     raw = _saved_goals(tmp_path, stitch_dataset)
     version, n = struct.unpack_from("<II", raw, 8)
     header = json.loads(raw[16:16 + n])
@@ -256,3 +270,17 @@ def test_goals_bundle_layout_and_writable_parameters(tmp_path, stitch_dataset):
     for p in params:
         assert p.dtype == np.float64 and p.flags.writeable
         assert not np.shares_memory(p, view)
+
+    def views_of_params(net):
+        return all(p.base is net.params for p in (*net.weights, *net.biases))
+
+    fresh = _nets(stitch_dataset, hidden=3, n_layers=2).reward_net
+    copied = nets.reward_net.copy()
+    assert not np.shares_memory(copied.params, nets.reward_net.params)
+    stepped = nets.cost_net
+    before = stepped.get_flat()
+    OptimState(stepped, NetHyper(), 0.0).apply(stepped, np.ones_like(stepped.params), 0.1)
+    assert not np.array_equal(stepped.params, before)
+    for net in (fresh, copied, nets.reward_net, stepped):
+        assert views_of_params(net)
+        assert np.array_equal(flatten_grads(net.weights, net.biases), net.params)

@@ -6,12 +6,17 @@ from hypothesis import strategies as st
 import gas
 from gas.errors import ContractError, NonFiniteError
 from gas.nn import (Mlp, OptimState, expectile_term, flatten_grads, grad_check, net_buffers,
-                    solve_scalar_expectile)
+                    param_views, solve_scalar_expectile)
 from gas.training import NetHyper
 
 
 def _net(sizes, seed=0):
     return Mlp.init(sizes, np.random.default_rng(seed))
+
+
+def _mlp(sizes, weights, biases):
+    """An Mlp holding these per-layer parameters."""
+    return Mlp(sizes, flatten_grads(weights, biases))
 
 
 # -- forward -----------------------------------------------------------------
@@ -25,13 +30,13 @@ def test_forward_zero_params_is_zero():
 
 
 def test_forward_identity_single_layer():
-    net = Mlp([2, 2], [np.eye(2)], [np.zeros(2)])
+    net = _mlp([2, 2], [np.eye(2)], [np.zeros(2)])
     x = np.array([[0.3, -0.7]])
     assert np.allclose(net.forward(x), x)
 
 
 def test_forward_relu_clips_negatives():
-    net = Mlp([2, 2, 2], [np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
+    net = _mlp([2, 2, 2], [np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
     out = net.forward(np.array([[-1.0, 2.0]]))
     assert np.allclose(out, [[0.0, 2.0]])
 
@@ -52,7 +57,7 @@ def test_backward_zero_upstream():
 
 
 def test_backward_linear_weight_gradient_is_input():
-    net = Mlp([3, 1], [np.zeros((3, 1))], [np.zeros(1)])
+    net = _mlp([3, 1], [np.zeros((3, 1))], [np.zeros(1)])
     x = np.array([[1.0, -2.0, 0.5]])
     out, cache = net.forward_cached(x)
     dw, db = net.backward(cache, np.ones_like(out))
@@ -237,9 +242,7 @@ def test_optimizer_zero_grads_no_decay_is_fixed_point():
     net = _net([2, 3, 1])
     before = net.get_flat()
     opt = OptimState(net, NetHyper(), 0.0)
-    zeros = ([np.zeros_like(w) for w in net.weights],
-             [np.zeros_like(b) for b in net.biases])
-    opt.apply(net, *zeros, 0.1)
+    opt.apply(net, np.zeros_like(net.params), 0.1)
     assert np.array_equal(net.get_flat(), before)
 
 
@@ -247,30 +250,28 @@ def test_optimizer_decoupled_weight_decay_only():
     net = _net([2, 2])
     before = net.get_flat()
     opt = OptimState(net, NetHyper(), 0.01)
-    zeros = ([np.zeros_like(w) for w in net.weights],
-             [np.zeros_like(b) for b in net.biases])
-    opt.apply(net, *zeros, 0.1)
+    opt.apply(net, np.zeros_like(net.params), 0.1)
     # zero gradients: parameters shrink by exactly (1 - lr*wd)
     assert np.allclose(net.get_flat(), before * (1 - 0.1 * 0.01))
 
 
 def test_optimizer_grad_clipping_scale():
-    net = Mlp([1, 1], [np.array([[1.0]])], [np.zeros(1)])
+    net = _mlp([1, 1], [np.array([[1.0]])], [np.zeros(1)])
     # two equal updates, one with pre-scaled gradients and clipping disabled:
     # a gradient of norm 10 under clip 0.25 behaves as if scaled by 0.025
     clipped = OptimState(net.copy(), NetHyper(grad_clip=0.25), 0.0)
     manual = OptimState(net.copy(), NetHyper(grad_clip=0.0), 0.0)
     n1, n2 = net.copy(), net.copy()
-    clipped.apply(n1, [np.array([[10.0]])], [np.zeros(1)], 0.1)
-    manual.apply(n2, [np.array([[10.0 * 0.025]])], [np.zeros(1)], 0.1)
+    clipped.apply(n1, np.array([10.0, 0.0]), 0.1)
+    manual.apply(n2, np.array([10.0 * 0.025, 0.0]), 0.1)
     assert np.allclose(n1.get_flat(), n2.get_flat())
 
 
 def test_optimizer_descends_quadratic():
-    net = Mlp([1, 1], [np.array([[1.0]])], [np.zeros(1)])
+    net = _mlp([1, 1], [np.array([[1.0]])], [np.zeros(1)])
     opt = OptimState(net, NetHyper(grad_clip=0.0), 0.0)
     w_before = net.weights[0][0, 0]
-    opt.apply(net, [np.array([[2.0 * w_before]])], [np.zeros(1)], 0.1)
+    opt.apply(net, np.array([2.0 * w_before, 0.0]), 0.1)
     assert net.weights[0][0, 0] < w_before
 
 
@@ -279,7 +280,53 @@ def test_optimizer_rejects_non_finite():
     hyper = NetHyper()
     opt = OptimState(net, hyper, hyper.weight_decay)
     with pytest.raises(NonFiniteError):
-        opt.apply(net, [np.array([[np.nan], [0.0]])], [np.zeros(1)], hyper.learning_rate)
+        opt.apply(net, np.array([np.nan, 0.0, 0.0]), hyper.learning_rate)
+
+
+class _ReferenceOptim:
+    """The per-array Adam step: each weight and bias array clipped, decayed
+    and moved on its own, squares summed array by array, weights then biases."""
+
+    def __init__(self, net, hyper, weight_decay):
+        self.hyper, self.weight_decay, self.step_count = hyper, weight_decay, 0
+        self.m = [np.zeros_like(p) for p in net.weights + net.biases]
+        self.v = [np.zeros_like(p) for p in net.weights + net.biases]
+
+    def apply(self, net, d_weights, d_biases, learning_rate):
+        grads = list(d_weights) + list(d_biases)
+        norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+        h = self.hyper
+        scale = h.grad_clip / norm if 0.0 < h.grad_clip < norm else 1.0
+        self.step_count += 1
+        bc1 = 1.0 - h.beta1 ** self.step_count
+        bc2 = 1.0 - h.beta2 ** self.step_count
+        decay = 1.0 - learning_rate * self.weight_decay
+        for p, g, m, v in zip(net.weights + net.biases, grads, self.m, self.v):
+            if decay != 1.0:
+                p *= decay
+            g = g * scale
+            m *= h.beta1
+            m += g * (1.0 - h.beta1)
+            v *= h.beta2
+            v += g * (1.0 - h.beta2) * g
+            p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
+@pytest.mark.parametrize("grad_clip", [0.25, 0.0])
+@pytest.mark.parametrize("weight_decay", [1e-3, 0.0])
+def test_flat_optimizer_step_equals_per_array_reference(grad_clip, weight_decay):
+    """The flat step gives the per-array step's bits, step after step."""
+    hyper = NetHyper(grad_clip=grad_clip)
+    flat, ref = _net([5, 16, 24, 1], seed=4), _net([5, 16, 24, 1], seed=4)
+    opt, ref_opt = OptimState(flat, hyper, weight_decay), _ReferenceOptim(ref, hyper, weight_decay)
+    rng = np.random.default_rng(5)
+    for step in range(6):
+        d_params = rng.normal(scale=10.0 ** (step % 3 - 2), size=flat.params.size)
+        opt.apply(flat, d_params, 3e-3)
+        ref_opt.apply(ref, *param_views(d_params.copy(), ref.layer_sizes), 3e-3)
+        assert flat.params.tobytes() == ref.params.tobytes()
+        assert opt.m.tobytes() == flatten_grads(ref_opt.m[:3], ref_opt.m[3:]).tobytes()
+        assert opt.v.tobytes() == flatten_grads(ref_opt.v[:3], ref_opt.v[3:]).tobytes()
 
 
 def test_init_determinism():

@@ -198,6 +198,14 @@ def test_act_past_horizon_rejected(stitch_dataset):
     assert nets.norm.horizon == 32
     with pytest.raises(ContractError):
         act(pol, nets, np.array([[0.0, 1.0]]), np.array([1.0]), np.array([1.0]), 32)
+    # remainders or goal targets with other than one entry per state row
+    states = np.zeros((3, 2))
+    with pytest.raises(ContractError, match="3 states with 1 r_hat"):
+        act(pol, nets, states, np.ones(1), np.ones(1), 0)
+    with pytest.raises(ContractError, match="3 states with 2 r_hat"):
+        nets.values(states, np.ones(2), np.ones(3), np.zeros(3))
+    with pytest.raises(ContractError, match="2 t_prime"):  # one (d,) state: one row
+        act(pol, nets, np.zeros(2), np.ones(1), np.ones(1), 0)
 
 
 # -- training ---------------------------------------------------------------------
@@ -224,7 +232,7 @@ def test_train_policy_regresses_to_constant_action(chain_env):
         batch = sample_batch(data, None, cfg, 128, streams["batch"], streams["relabel"])
         *_, adv = goal_loss(batch, nets, 0.8)
         _, grads, _ = policy_loss(batch, pol, 0.8, adv)
-        optim.apply(pol.net, *grads, 1e-3)
+        optim.apply(pol.net, flatten_grads(*grads), 1e-3)
     batch = sample_batch(data, None, cfg, 512, np.random.default_rng(0))
     *_, adv = goal_loss(batch, nets, 0.8)
     actions = pol.forward(batch.states, batch.r_hat, batch.c_hat, adv.v_r,

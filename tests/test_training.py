@@ -142,7 +142,8 @@ def test_training_buffers_do_not_outlive_train_gas(stitch_dataset, monkeypatch):
     def tracked(self, *args, **kwargs):
         init(self, *args, **kwargs)
         made.append(weakref.ref(self))
-        made.extend(weakref.ref(a) for a in self.acts + self.d_weights + self.d_biases)
+        made.extend(weakref.ref(a) for a in [self.d_params, *self.acts, *self.d_weights,
+                                             *self.d_biases])
 
     monkeypatch.setattr(gas.nn.NetBuffers, "__init__", tracked)
     res = train_gas(stitch_dataset, AugmentConfig(), SMALL, 0.8, 3, seed_streams(0))
