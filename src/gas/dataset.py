@@ -151,46 +151,74 @@ class AugmentConfig:
 
 
 @dataclass(frozen=True)
-class BehaviorStyle:
-    name: str
-    weight: float
-    params: tuple = ()
-
-    def param_dict(self) -> dict:
-        return dict(self.params)
-
-
-@dataclass(frozen=True)
 class BehaviorMix:
-    """Weighted mixture of behavior styles used to generate a dataset."""
+    """Weighted mixture of behavior styles used to generate a dataset. A style
+    is a ``(weight, draw)`` pair: ``draw(spec, rng)`` draws one episode's
+    parameters from the corpus stream and returns its actor."""
 
     styles: tuple
 
     def weights(self) -> np.ndarray:
-        w = np.array([s.weight for s in self.styles], dtype=np.float64)
+        w = np.array([weight for weight, _ in self.styles], dtype=np.float64)
         total = w.sum()
         if total <= 0:
             raise ConfigError("behavior mix weights must sum to a positive value")
         return w / total
 
 
-def _style(name: str, weight: float, **params) -> BehaviorStyle:
-    return BehaviorStyle(name, weight, tuple(sorted(params.items())))
+def _blocks(fast: float, slow: float, min_len: int, max_len: "int | None", at_head: bool):
+    """Fast for one block of min_len..max_len steps (None: up to T), slow
+    elsewhere; the block starts at t = 0 if ``at_head``, else uniformly."""
+    def draw(spec: EnvSpec, rng: np.random.Generator) -> ActionSource:
+        T = spec.episode_length
+        length = int(rng.integers(min_len, (max_len or T) + 1))
+        start = 0 if at_head or length >= T else int(rng.integers(0, T - length + 1))
+        end = start + length
+        return lambda _state, t: fast if start <= t < end else slow
+
+    return draw
 
 
-def pure_block_mix(fast_action: float = 1.0, slow_action: float = 0.0,
-                   min_len: int = 0, max_len: "int | None" = None) -> BehaviorMix:
-    """Blocks of every length at uniform positions; fast=v1.0, slow=v0.5 by default."""
-    return BehaviorMix((_style("block_uniform", 1.0, fast_action=fast_action,
-                               slow_action=slow_action, min_len=min_len,
-                               max_len=max_len),))
+def _constant(action: float):
+    def draw(spec: EnvSpec, _rng) -> ActionSource:
+        row = np.full(spec.action_dim, action)
+        return lambda _state, _t: row
+
+    return draw
+
+
+def _random(spec: EnvSpec, rng: np.random.Generator) -> ActionSource:
+    table = rng.uniform(-1.0, 1.0, size=(spec.episode_length, spec.action_dim))
+    return lambda _state, t: table[t]
+
+
+def _orbit(min_radius: float, max_radius: float):
+    """Circle the origin at a radius drawn per episode, steering back with gain 4."""
+    def draw(_spec: EnvSpec, rng: np.random.Generator) -> ActionSource:
+        radius = float(rng.uniform(min_radius, max_radius))
+
+        def actor(state, _t):
+            x, y = state[0], state[1]
+            norm = max(np.hypot(x, y), 1e-8)
+            tangent = np.array([-y, x]) / norm
+            radial = np.array([x, y]) / norm
+            return np.clip(tangent + 4.0 * (radius - norm) * radial, -1.0, 1.0)
+
+        return actor
+
+    return draw
+
+
+def pure_block_mix(fast_action: float = 1.0, slow_action: float = 0.0) -> BehaviorMix:
+    """Blocks of every length 0..T at uniform positions; fast=v1.0, slow=v0.5 by default."""
+    return BehaviorMix(((1.0, _blocks(fast_action, slow_action, 0, None, at_head=False)),))
 
 
 def slow_only_mix(slow_action: float = 0.0) -> BehaviorMix:
-    return BehaviorMix((_style("slow", 1.0, slow_action=slow_action),))
+    return BehaviorMix(((1.0, _constant(slow_action)),))
 
 
-def stitch_mix(max_block: int = 16) -> BehaviorMix:
+def stitch_mix() -> BehaviorMix:
     """Standard ChainRun corpus for the stitching experiments.
 
     Detuned speeds (fast v=1.0, slow v=0.45) keep every single trajectory
@@ -203,19 +231,19 @@ def stitch_mix(max_block: int = 16) -> BehaviorMix:
     """
     fast, slow = 1.0, -0.08
     return BehaviorMix((
-        _style("block_head", 0.65, fast_action=fast, slow_action=slow, min_len=1, max_len=max_block),
-        _style("block_uniform", 0.05, fast_action=fast, slow_action=slow, min_len=1, max_len=max_block),
-        _style("slow", 0.15, slow_action=slow),
-        _style("constant", 0.10, action=0.02),
-        _style("random", 0.05),
+        (0.65, _blocks(fast, slow, 1, 16, at_head=True)),
+        (0.05, _blocks(fast, slow, 1, 16, at_head=False)),
+        (0.15, _constant(slow)),
+        (0.10, _constant(0.02)),
+        (0.05, _random),
     ))
 
 
 def gridcircle_mix() -> BehaviorMix:
     return BehaviorMix((
-        _style("orbit", 0.6, min_radius=0.7, max_radius=1.3),
-        _style("orbit", 0.2, min_radius=1.3, max_radius=1.7),
-        _style("random", 0.2),
+        (0.6, _orbit(0.7, 1.3)),
+        (0.2, _orbit(1.3, 1.7)),
+        (0.2, _random),
     ))
 
 
@@ -240,61 +268,6 @@ def mix_by_name(name: str, env_name: str) -> BehaviorMix:
     return table[name]()
 
 
-def _block_actor(start: int, length: int, fast_action: float, slow_action: float):
-    end = start + length
-
-    def actor(_state, t):
-        return fast_action if start <= t < end else slow_action
-
-    return actor
-
-
-def _table_actor(table: np.ndarray):
-    def actor(_state, t):
-        return table[t]
-
-    return actor
-
-
-def _orbit_actor(radius: float, gain: float = 4.0):
-    def actor(state, _t):
-        x, y = state[0], state[1]
-        norm = max(np.hypot(x, y), 1e-8)
-        tangent = np.array([-y, x]) / norm
-        radial = np.array([x, y]) / norm
-        a = tangent + gain * (radius - norm) * radial
-        return np.clip(a, -1.0, 1.0)
-
-    return actor
-
-
-def _make_actor(style: BehaviorStyle, spec: EnvSpec, rng: np.random.Generator):
-    T = spec.episode_length
-    p = style.param_dict()
-    if style.name == "slow":
-        slow = p.get("slow_action", 0.0)
-        return _block_actor(0, 0, 0.0, slow)
-    if style.name in ("block_head", "block_uniform"):
-        max_len = p.get("max_len") or T
-        min_len = p.get("min_len", 0)
-        length = int(rng.integers(min_len, max_len + 1))
-        if style.name == "block_head":
-            start = 0
-        else:
-            start = int(rng.integers(0, T - length + 1)) if length < T else 0
-        return _block_actor(start, length, p.get("fast_action", 1.0), p.get("slow_action", 0.0))
-    if style.name == "constant":
-        action = np.full(spec.action_dim, p.get("action", 0.0))
-        return lambda _state, _t: action
-    if style.name == "random":
-        table = rng.uniform(-1.0, 1.0, size=(T, spec.action_dim))
-        return _table_actor(table)
-    if style.name == "orbit":
-        radius = float(rng.uniform(p.get("min_radius", 0.7), p.get("max_radius", 1.3)))
-        return _orbit_actor(radius)
-    raise ConfigError(f"unknown behavior style {style.name!r}")
-
-
 def generate_offline_dataset(env, mix: BehaviorMix, n_traj: int, seed: int) -> OfflineDataset:
     """Roll out ``n_traj`` episodes under the mixture as one batch;
     deterministic per seed.
@@ -309,8 +282,8 @@ def generate_offline_dataset(env, mix: BehaviorMix, n_traj: int, seed: int) -> O
     weights = mix.weights()
     actors = []
     for _ in range(n_traj):
-        style = mix.styles[int(rng.choice(len(mix.styles), p=weights))]
-        actors.append(_make_actor(style, env.spec, rng))
+        _, draw = mix.styles[int(rng.choice(len(mix.styles), p=weights))]
+        actors.append(draw(env.spec, rng))
     return OfflineDataset.from_arrays(env.spec, *rollout_actors(env, actors))
 
 
@@ -361,10 +334,9 @@ def build_reshape_index(dataset: OfflineDataset, q_percent: float, cost_bins: in
     else:
         bin_idx = np.zeros(dataset.n, dtype=int)
     members = []
-    for b in range(cost_bins):
+    # occupied bins only, as cost_bins may be huge; a set, since np.unique imports numpy.ma
+    for b in set(bin_idx.tolist()):
         ids = np.flatnonzero(bin_idx == b)
-        if ids.size == 0:
-            continue
         r = rewards[ids]
         # empirical CDF rule: member iff P(R' <= R) > 1 - q
         ranks = (r[:, None] >= r[None, :]).sum(axis=1)

@@ -144,11 +144,11 @@ def goal_loss(batch: TransitionBatch, nets: GoalNets, alpha: float, *,
     output and is a constant of the iterate; ties (V^C == c_hat) count as
     infeasible.
 
-    Returns (l_r, l_c, grads_reward, grads_cost, adv) where grads are
-    (d_weights, d_biases) pairs and adv carries the frozen advantage
-    quantities reused by the policy loss. ``buffers`` (reward, cost) are
-    what the nets' forward and backward write into; the grads alias them.
-    Without them each call allocates its own.
+    Returns (l_r, l_c, d_r, d_c, adv) where d_r and d_c are each net's
+    gradient laid out like its ``params`` and adv carries the frozen
+    advantage quantities reused by the policy loss. ``buffers`` (reward,
+    cost) are what the nets' forward and backward write into; d_r and d_c
+    are their ``d_params``. Without them each call allocates its own.
     """
     if len(batch) == 0:
         raise ContractError("goal loss needs a non-empty batch")
@@ -169,10 +169,10 @@ def goal_loss(batch: TransitionBatch, nets: GoalNets, alpha: float, *,
     l_c = float(np.mean(w * a_c * a_c))
     upstream_r = (-2.0 * w * a_r / n)[:, None]
     upstream_c = (-2.0 * w * a_c / n)[:, None]
-    grads_r = nets.reward_net.backward(cache_r, upstream_r)
-    grads_c = nets.cost_net.backward(cache_c, upstream_c)
+    d_r = nets.reward_net.backward(cache_r, upstream_r)
+    d_c = nets.cost_net.backward(cache_c, upstream_c)
     adv = AdvantagePair(a_r, a_c, feasible, v_r, v_c)
-    return l_r, l_c, grads_r, grads_c, adv
+    return l_r, l_c, d_r, d_c, adv
 
 
 # -- checkpoint bundles -------------------------------------------------------

@@ -101,10 +101,10 @@ class Mlp:
     def backward(self, cache, upstream: np.ndarray):
         """Gradients of sum(output * upstream) w.r.t. every parameter.
 
-        ReLU subgradient at exactly 0 is 0. Returns (weight grads, bias grads)
-        shaped like the parameters: the ``d_weights``/``d_biases`` views of
-        the ``d_params`` of the buffers the forward pass was given (fresh
-        ones if it had none), valid until the next backward on them.
+        ReLU subgradient at exactly 0 is 0. Returns the gradient laid out
+        like ``params``: the ``d_params`` of the buffers the forward pass was
+        given (fresh ones if it had none), valid until the next backward on
+        them.
         """
         acts, bufs = cache
         g = np.asarray(upstream, dtype=np.float64)
@@ -133,17 +133,7 @@ class Mlp:
                 else:
                     np.matmul(g, w.T, out=below)
                 g = below
-        return bufs.d_weights, bufs.d_biases
-
-    # -- flat copies used by the checker and the tests --------------------
-
-    def get_flat(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        if flat.shape != self.params.shape:
-            raise ContractError(f"flat vector shape {flat.shape} != {self.params.shape}")
-        self.params[...] = flat
+        return bufs.d_params
 
     def copy(self) -> "Mlp":
         return Mlp(self.layer_sizes, self.params.copy())
@@ -177,11 +167,6 @@ def net_buffers(nets: Sequence[Mlp], batch: int) -> list:
     size = batch * max(max(net.layer_sizes[1:-1], default=0) for net in nets)
     ping, pong, mask = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     return [NetBuffers(net, batch, ping, pong, mask) for net in nets]
-
-
-def flatten_grads(d_weights, d_biases) -> np.ndarray:
-    """A copy of per-layer gradients as one vector in the ``param_views`` layout."""
-    return np.concatenate([a.ravel() for layer in zip(d_weights, d_biases) for a in layer])
 
 
 class OptimState:

@@ -64,7 +64,8 @@ def policy_loss(batch: TransitionBatch, pol: PolicyNet, alpha: float,
     ``adv`` is what ``goal_loss`` returned for the same batch; its (a_r,
     feasible, v_r, v_c) are constants here. ``buffers``
     are what the policy net's forward and backward write into, as in
-    ``goal_loss``. Returns (l_pi, grads, weights).
+    ``goal_loss``. Returns (l_pi, d_params, weights), d_params being the
+    gradient laid out like ``pol.net.params``.
     """
     if len(batch) == 0:
         raise ContractError("policy loss needs a non-empty batch")
@@ -77,8 +78,7 @@ def policy_loss(batch: TransitionBatch, pol: PolicyNet, alpha: float,
     n = float(len(batch))
     l_pi = float(np.mean(w * np.sum(err * err, axis=1)))
     upstream = (2.0 / n) * w[:, None] * err * (1.0 - actions * actions)
-    grads = pol.net.backward(cache, upstream)
-    return l_pi, grads, w
+    return l_pi, pol.net.backward(cache, upstream), w
 
 
 def act(pol: PolicyNet, nets: GoalNets, states, r_remaining, c_remaining,

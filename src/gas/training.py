@@ -145,15 +145,15 @@ def train_gas(dataset: OfflineDataset, cfg: AugmentConfig, hyper: NetHyper,
             it += 1
             lr = hyper.lr_at(phase_iter, iterations)
             batch = sample_batch(dataset, reshape, cfg, hyper.batch_size, rng_batch, rng_relabel)
-            l_r, l_c, _, _, adv = goal_loss(batch, nets, alpha, buffers=(bufs_r, bufs_c))
-            l_pi, _, _ = policy_loss(batch, pol, alpha, adv=adv, buffers=bufs_p)
+            l_r, l_c, d_r, d_c, adv = goal_loss(batch, nets, alpha, buffers=(bufs_r, bufs_c))
+            l_pi, d_p, _ = policy_loss(batch, pol, alpha, adv=adv, buffers=bufs_p)
             if not (np.isfinite(l_r) and np.isfinite(l_c) and np.isfinite(l_pi)):
                 raise NonFiniteError(_diagnose(it, batch, l_r=l_r, l_c=l_c, l_pi=l_pi))
             if update_goals:
-                optim_r.apply(nets.reward_net, bufs_r.d_params, lr)
-                optim_c.apply(nets.cost_net, bufs_c.d_params, lr)
+                optim_r.apply(nets.reward_net, d_r, lr)
+                optim_c.apply(nets.cost_net, d_c, lr)
             if update_policy:
-                optim_p.apply(pol.net, bufs_p.d_params, lr)
+                optim_p.apply(pol.net, d_p, lr)
             if it % log_every == 0:
                 history.append((it, l_r, l_c, l_pi))
     return TrainResult(nets, pol, history)

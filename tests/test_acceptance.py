@@ -25,7 +25,7 @@ from gas.evaluate import (EvalConfig, evaluate, resolve_reward_target,
                           reward_target_table, robustness_sweep, run_episode,
                           sweep_gates)
 from gas.goals import goal_loss
-from gas.nn import flatten_grads, grad_check, solve_scalar_expectile
+from gas.nn import grad_check, solve_scalar_expectile
 from gas.oracle import (ProbeQuery, brute_force_goal, chainrun_optimum,
                         default_state_tolerance)
 from gas.policy import policy_inputs, policy_loss
@@ -202,42 +202,39 @@ def test_criterion_3_gradient_correctness(corpus):
     pol.net.weights[-1][...] = streams["init_policy"].uniform(
         -0.05, 0.05, size=pol.net.weights[-1].shape)
 
-    l_r, l_c, grads_r, grads_c, adv = goal_loss(batch, nets, ALPHA)
+    l_r, l_c, d_r, d_c, adv = goal_loss(batch, nets, ALPHA)
     w = np.abs(ALPHA - (adv.a_r < 0))
     feasible = adv.feasible.copy()
     z = gas.goal_inputs(norm, batch.states, batch.r_hat, batch.c_hat, batch.t_prime)
 
     def loss_r(flat):
         probe = nets.reward_net.copy()
-        probe.set_flat(flat)
+        probe.params[...] = flat
         a_r = feasible * batch.r_seg - probe.forward(z)[:, 0]
         return float(np.mean(w * a_r ** 2))
 
     def loss_c(flat):
         probe = nets.cost_net.copy()
-        probe.set_flat(flat)
+        probe.params[...] = flat
         a_c = batch.c_seg - probe.forward(z)[:, 0]
         return float(np.mean(w * a_c ** 2))
 
-    _, grads_p, w_pol = policy_loss(batch, pol, ALPHA, adv=adv)
+    _, d_p, w_pol = policy_loss(batch, pol, ALPHA, adv=adv)
     zp = policy_inputs(norm, batch.states, batch.r_hat, batch.c_hat,
                        adv.v_r, adv.v_c, batch.t_prime)
 
     def loss_p(flat):
         probe = pol.net.copy()
-        probe.set_flat(flat)
+        probe.params[...] = flat
         actions = np.tanh(probe.forward(zp))
         err = actions - batch.actions
         return float(np.mean(w_pol * np.sum(err * err, axis=1)))
 
     fd_rng = np.random.default_rng(3)
     errs = {
-        "L_R": grad_check(loss_r, nets.reward_net.get_flat(),
-                          flatten_grads(*grads_r), 1e-5, 250, fd_rng),
-        "L_C": grad_check(loss_c, nets.cost_net.get_flat(),
-                          flatten_grads(*grads_c), 1e-5, 250, fd_rng),
-        "L_pi": grad_check(loss_p, pol.net.get_flat(),
-                           flatten_grads(*grads_p), 1e-5, 250, fd_rng),
+        "L_R": grad_check(loss_r, nets.reward_net.params.copy(), d_r, 1e-5, 250, fd_rng),
+        "L_C": grad_check(loss_c, nets.cost_net.params.copy(), d_c, 1e-5, 250, fd_rng),
+        "L_pi": grad_check(loss_p, pol.net.params.copy(), d_p, 1e-5, 250, fd_rng),
     }
     elapsed = time.monotonic() - t0
     passed = max(errs.values()) < 1e-4 and elapsed < 60.0

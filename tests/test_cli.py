@@ -6,6 +6,7 @@ import io
 import json
 import os
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +114,7 @@ def test_config_file_trains_the_acceptance_model(tmp_path, stitch_dataset):
     pol, _ = gas.load_policy(out / "policy.ckpt")
     for got, want in ((nets.reward_net, expected.nets.reward_net),
                       (nets.cost_net, expected.nets.cost_net), (pol.net, expected.pol.net)):
-        assert np.array_equal(got.get_flat(), want.get_flat())
+        assert np.array_equal(got.params, want.params)
 
 
 def test_seed_streams_are_independent_and_stable():
@@ -168,6 +169,14 @@ def test_loss_csv_row_count(tmp_path):
     assert len(lines) - 1 == 3  # one row per 100 iterations
 
 
+def test_train_with_a_billion_cost_bins_finishes(tmp_path):
+    """Reshaping visits only the occupied cost bins, so a huge bin count
+    costs no more than the default (one loop step per bin took ~40 min)."""
+    start = time.monotonic()
+    assert run(tmp_path, "train", "cost_bins=1000000000", "iterations=5") == 0
+    assert time.monotonic() - start < 60.0
+
+
 def test_train_zero_iterations_equals_initialization(tmp_path):
     assert run(tmp_path, "train", "iterations=0") == 0
     nets, _ = gas.load_goals(tmp_path / "goals.ckpt")
@@ -177,7 +186,7 @@ def test_train_zero_iterations_equals_initialization(tmp_path):
 
     streams = seed_streams(cfg.seed)
     fresh_nets, _ = build_models(data, cfg.hyper, streams)
-    assert np.array_equal(nets.reward_net.get_flat(), fresh_nets.reward_net.get_flat())
+    assert np.array_equal(nets.reward_net.params, fresh_nets.reward_net.params)
 
 
 def test_eval_missing_checkpoint(tmp_path, capsys):

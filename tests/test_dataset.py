@@ -51,12 +51,18 @@ GOLDEN_CORPORA = [
     # every action out of range: clipped when stepped and when stored
     ("ChainRun", 32, gas.pure_block_mix(1.5, -1.25), 3, 6400,
      "d256a1e5976f9dd28303efdf0c4bfc79f2dd0c525a391181e2c0bff0294e4208"),
+    # scalar-action mixes on the 2-D env: each action broadcasts to a row
+    ("GridCircle", 16, gas.stitch_mix(), 4, 0,
+     "860f9863d6ffd060e0bed6495b2e6fe3addefe48b0e89c8ac9639406f8b00233"),
+    ("GridCircle", 16, gas.slow_only_mix(), 5, 0,
+     "82f2938a786998c237353a92d7ab55853f3cde989409bf9f2211e94014906b89"),
 ]
 
 
 @pytest.mark.parametrize("env_name, T, mix, seed, clamps, digest", GOLDEN_CORPORA,
                          ids=["stitch-0", "stitch-7", "pure_block-1", "slow_only-2",
-                              "gridcircle-0", "pure_block_clamped-3"])
+                              "gridcircle-0", "pure_block_clamped-3", "gridcircle_stitch-4",
+                              "gridcircle_slow-5"])
 def test_generated_corpus_bytes_are_pinned(tmp_path, env_name, T, mix, seed, clamps, digest):
     env = gas.make_env(gas.envs.spec_by_name(env_name, T), seed)
     save_dataset(generate_offline_dataset(env, mix, 200, seed), tmp_path / "d.gasdset")
@@ -68,7 +74,8 @@ def test_generated_corpus_bytes_are_pinned(tmp_path, env_name, T, mix, seed, cla
     (gas.chainrun_spec(16), gas.stitch_mix()),
     (gas.chainrun_spec(16), gas.pure_block_mix(1.5, -1.25)),
     (gas.gridcircle_spec(16), gas.dataset.gridcircle_mix()),
-], ids=["stitch", "pure_block_clamped", "gridcircle"])
+    (gas.chainrun_spec(16), gas.slow_only_mix()),
+], ids=["stitch", "pure_block_clamped", "gridcircle", "slow"])
 def test_rollout_equals_row_of_batched_generation(monkeypatch, spec, mix):
     """``rollout`` of one actor is the corresponding row of the batch the
     generator stepped, bit for bit, clamp warnings included."""

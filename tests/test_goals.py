@@ -8,7 +8,7 @@ import gas
 from gas.dataset import AugmentConfig, sample_batch
 from gas.errors import ContractError, SchemaError
 from gas.goals import GoalNets, InputNorm, goal_inputs, goal_loss, load_goals, save_goals
-from gas.nn import OptimState, flatten_grads, grad_check
+from gas.nn import OptimState, grad_check
 from gas.training import NetHyper
 from gas.config import seed_streams
 
@@ -156,27 +156,25 @@ def _goal_fd_errors(stitch_dataset, batch_seed, net_seed):
     batch = _batch(stitch_dataset, n=64, seed=batch_seed)
     nets = _nets(stitch_dataset, hidden=12, n_layers=3, seed=net_seed)
     alpha = 0.8
-    l_r, l_c, grads_r, grads_c, adv = goal_loss(batch, nets, alpha)
+    l_r, l_c, d_r, d_c, adv = goal_loss(batch, nets, alpha)
     feasible = adv.feasible.copy()
     w = np.abs(alpha - (adv.a_r < 0))
     z = goal_inputs(nets.norm, batch.states, batch.r_hat, batch.c_hat, batch.t_prime)
 
     def loss_reward(flat):
         probe = nets.reward_net.copy()
-        probe.set_flat(flat)
+        probe.params[...] = flat
         a_r = feasible * batch.r_seg - probe.forward(z)[:, 0]
         return float(np.mean(w * a_r ** 2))
 
     def loss_cost(flat):
         probe = nets.cost_net.copy()
-        probe.set_flat(flat)
+        probe.params[...] = flat
         a_c = batch.c_seg - probe.forward(z)[:, 0]
         return float(np.mean(w * a_c ** 2))
 
-    err_r = grad_check(loss_reward, nets.reward_net.get_flat(),
-                       flatten_grads(*grads_r), step=1e-5)
-    err_c = grad_check(loss_cost, nets.cost_net.get_flat(),
-                       flatten_grads(*grads_c), step=1e-5)
+    err_r = grad_check(loss_reward, nets.reward_net.params.copy(), d_r, step=1e-5)
+    err_c = grad_check(loss_cost, nets.cost_net.params.copy(), d_c, step=1e-5)
     return err_r, err_c
 
 
@@ -200,8 +198,8 @@ def test_goals_bundle_round_trip(tmp_path, stitch_dataset):
     save_goals(path, nets, {"alpha": 0.8, "note": "unit"})
     loaded, meta = load_goals(path)
     assert meta["alpha"] == 0.8
-    assert np.array_equal(loaded.reward_net.get_flat(), nets.reward_net.get_flat())
-    assert np.array_equal(loaded.cost_net.get_flat(), nets.cost_net.get_flat())
+    assert np.array_equal(loaded.reward_net.params, nets.reward_net.params)
+    assert np.array_equal(loaded.cost_net.params, nets.cost_net.params)
     assert np.array_equal(loaded.norm.state_mean, nets.norm.state_mean)
     assert loaded.norm.r_scale == nets.norm.r_scale
 
@@ -278,9 +276,10 @@ def test_goals_bundle_layout_and_writable_parameters(tmp_path, stitch_dataset):
     copied = nets.reward_net.copy()
     assert not np.shares_memory(copied.params, nets.reward_net.params)
     stepped = nets.cost_net
-    before = stepped.get_flat()
+    before = stepped.params.copy()
     OptimState(stepped, NetHyper(), 0.0).apply(stepped, np.ones_like(stepped.params), 0.1)
     assert not np.array_equal(stepped.params, before)
     for net in (fresh, copied, nets.reward_net, stepped):
         assert views_of_params(net)
-        assert np.array_equal(flatten_grads(net.weights, net.biases), net.params)
+        layers = [a.ravel() for w, b in zip(net.weights, net.biases) for a in (w, b)]
+        assert np.array_equal(np.concatenate(layers), net.params)

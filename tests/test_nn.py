@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import gas
 from gas.errors import ContractError, NonFiniteError
-from gas.nn import (Mlp, OptimState, expectile_term, flatten_grads, grad_check, net_buffers,
+from gas.nn import (Mlp, OptimState, expectile_term, grad_check, net_buffers, param_count,
                     param_views, solve_scalar_expectile)
 from gas.training import NetHyper
 
@@ -14,9 +14,19 @@ def _net(sizes, seed=0):
     return Mlp.init(sizes, np.random.default_rng(seed))
 
 
+def _flat(sizes, arrays):
+    """A vector in the ``param_views`` layout holding ``arrays``: every
+    layer's weights, then every layer's biases."""
+    flat = np.zeros(param_count(sizes))
+    weights, biases = param_views(flat, sizes)
+    for view, a in zip(weights + biases, arrays):
+        view[...] = a
+    return flat
+
+
 def _mlp(sizes, weights, biases):
     """An Mlp holding these per-layer parameters."""
-    return Mlp(sizes, flatten_grads(weights, biases))
+    return Mlp(sizes, _flat(sizes, weights + biases))
 
 
 # -- forward -----------------------------------------------------------------
@@ -52,15 +62,14 @@ def test_forward_shape_mismatch():
 def test_backward_zero_upstream():
     net = _net([3, 5, 2])
     out, cache = net.forward_cached(np.random.default_rng(0).normal(size=(4, 3)))
-    dw, db = net.backward(cache, np.zeros_like(out))
-    assert all(np.all(g == 0) for g in dw + db)
+    assert np.all(net.backward(cache, np.zeros_like(out)) == 0)
 
 
 def test_backward_linear_weight_gradient_is_input():
     net = _mlp([3, 1], [np.zeros((3, 1))], [np.zeros(1)])
     x = np.array([[1.0, -2.0, 0.5]])
     out, cache = net.forward_cached(x)
-    dw, db = net.backward(cache, np.ones_like(out))
+    dw, db = param_views(net.backward(cache, np.ones_like(out)), net.layer_sizes)
     assert np.allclose(dw[0][:, 0], x[0])
     assert np.allclose(db[0], [1.0])
 
@@ -72,13 +81,13 @@ def test_backward_matches_finite_differences(rng):
 
     def loss_at(flat):
         probe = net.copy()
-        probe.set_flat(flat)
+        probe.params[...] = flat
         return float(np.mean((probe.forward(x) - target) ** 2))
 
     out, cache = net.forward_cached(x)
     upstream = 2.0 * (out - target) / out.shape[0]
-    analytic = flatten_grads(*net.backward(cache, upstream))
-    err = grad_check(loss_at, net.get_flat(), analytic, step=1e-5)
+    analytic = net.backward(cache, upstream)
+    err = grad_check(loss_at, net.params.copy(), analytic, step=1e-5)
     assert err < 1e-4
 
 
@@ -124,7 +133,7 @@ def test_backward_matches_reference(n_out, batch):
         ref_out, ref_cache = _reference_forward_cached(net, x)
         out, cache = net.forward_cached(x, bufs)
         assert out.tobytes() == ref_out.tobytes()
-        dw, db = net.backward(cache, upstream)
+        dw, db = param_views(net.backward(cache, upstream), net.layer_sizes)
         ref_dw, ref_db = _reference_backward(net, ref_cache, upstream)
         for got, want in zip(dw + db, ref_dw + ref_db):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -240,19 +249,19 @@ def test_scalar_expectile_moves_mean_to_max():
 
 def test_optimizer_zero_grads_no_decay_is_fixed_point():
     net = _net([2, 3, 1])
-    before = net.get_flat()
+    before = net.params.copy()
     opt = OptimState(net, NetHyper(), 0.0)
     opt.apply(net, np.zeros_like(net.params), 0.1)
-    assert np.array_equal(net.get_flat(), before)
+    assert np.array_equal(net.params, before)
 
 
 def test_optimizer_decoupled_weight_decay_only():
     net = _net([2, 2])
-    before = net.get_flat()
+    before = net.params.copy()
     opt = OptimState(net, NetHyper(), 0.01)
     opt.apply(net, np.zeros_like(net.params), 0.1)
     # zero gradients: parameters shrink by exactly (1 - lr*wd)
-    assert np.allclose(net.get_flat(), before * (1 - 0.1 * 0.01))
+    assert np.allclose(net.params, before * (1 - 0.1 * 0.01))
 
 
 def test_optimizer_grad_clipping_scale():
@@ -264,7 +273,7 @@ def test_optimizer_grad_clipping_scale():
     n1, n2 = net.copy(), net.copy()
     clipped.apply(n1, np.array([10.0, 0.0]), 0.1)
     manual.apply(n2, np.array([10.0 * 0.025, 0.0]), 0.1)
-    assert np.allclose(n1.get_flat(), n2.get_flat())
+    assert np.allclose(n1.params, n2.params)
 
 
 def test_optimizer_descends_quadratic():
@@ -325,11 +334,11 @@ def test_flat_optimizer_step_equals_per_array_reference(grad_clip, weight_decay)
         opt.apply(flat, d_params, 3e-3)
         ref_opt.apply(ref, *param_views(d_params.copy(), ref.layer_sizes), 3e-3)
         assert flat.params.tobytes() == ref.params.tobytes()
-        assert opt.m.tobytes() == flatten_grads(ref_opt.m[:3], ref_opt.m[3:]).tobytes()
-        assert opt.v.tobytes() == flatten_grads(ref_opt.v[:3], ref_opt.v[3:]).tobytes()
+        assert opt.m.tobytes() == _flat(ref.layer_sizes, ref_opt.m).tobytes()
+        assert opt.v.tobytes() == _flat(ref.layer_sizes, ref_opt.v).tobytes()
 
 
 def test_init_determinism():
     a = _net([3, 7, 2], seed=9)
     b = _net([3, 7, 2], seed=9)
-    assert np.array_equal(a.get_flat(), b.get_flat())
+    assert np.array_equal(a.params, b.params)

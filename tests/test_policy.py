@@ -5,7 +5,7 @@ import gas
 from gas.dataset import AugmentConfig, sample_batch
 from gas.errors import ContractError
 from gas.goals import GoalNets, InputNorm, goal_loss
-from gas.nn import OptimState, flatten_grads, grad_check
+from gas.nn import OptimState, grad_check
 from gas.evaluate import rollout_policy
 from gas.policy import PolicyNet, act, load_policy, policy_inputs, policy_loss, save_policy
 from gas.config import seed_streams
@@ -54,7 +54,7 @@ def test_policy_infeasible_samples_have_zero_gradient(stitch_dataset):
     *_, adv = goal_loss(batch, nets, 0.8)
     if adv.feasible.all():
         pytest.skip("no infeasible samples drawn")
-    _, grads, w = policy_loss(batch, pol, 0.8, adv=adv)
+    _, d_params, w = policy_loss(batch, pol, 0.8, adv=adv)
     # dropping the infeasible samples leaves the gradients untouched
     keep = adv.feasible
     sub = gas.TransitionBatch(
@@ -63,9 +63,9 @@ def test_policy_infeasible_samples_have_zero_gradient(stitch_dataset):
         batch.r_hat[keep], batch.c_hat[keep], batch.from_reshape[keep])
     sub_adv = gas.AdvantagePair(adv.a_r[keep], adv.a_c[keep], adv.feasible[keep],
                                 adv.v_r[keep], adv.v_c[keep])
-    _, grads_sub, _ = policy_loss(sub, pol, 0.8, adv=sub_adv)
+    _, d_sub, _ = policy_loss(sub, pol, 0.8, adv=sub_adv)
     scale = len(batch) / keep.sum()  # batch-mean renormalization
-    for g, gs in zip(flatten_grads(*grads), flatten_grads(*grads_sub)):
+    for g, gs in zip(d_params, d_sub):
         assert g * scale == pytest.approx(gs, rel=1e-9, abs=1e-12)
 
 
@@ -74,18 +74,18 @@ def test_policy_gradients_match_finite_differences(stitch_dataset):
     nets, pol = _models(stitch_dataset, hidden=12, seed=5)
     alpha = 0.8
     *_, adv = goal_loss(batch, nets, 0.8)
-    _, grads, w = policy_loss(batch, pol, alpha, adv=adv)
+    _, d_params, w = policy_loss(batch, pol, alpha, adv=adv)
 
     def loss_at(flat):
         probe = pol.net.copy()
-        probe.set_flat(flat)
+        probe.params[...] = flat
         z = policy_inputs(pol.norm, batch.states, batch.r_hat, batch.c_hat,
                           adv.v_r, adv.v_c, batch.t_prime)
         actions = np.tanh(probe.forward(z))
         err = actions - batch.actions
         return float(np.mean(w * np.sum(err * err, axis=1)))
 
-    err = grad_check(loss_at, pol.net.get_flat(), flatten_grads(*grads), step=1e-5)
+    err = grad_check(loss_at, pol.net.params.copy(), d_params, step=1e-5)
     assert err < 1e-4
 
 
@@ -231,8 +231,8 @@ def test_train_policy_regresses_to_constant_action(chain_env):
     for _ in range(5000):
         batch = sample_batch(data, None, cfg, 128, streams["batch"], streams["relabel"])
         *_, adv = goal_loss(batch, nets, 0.8)
-        _, grads, _ = policy_loss(batch, pol, 0.8, adv)
-        optim.apply(pol.net, flatten_grads(*grads), 1e-3)
+        _, d_params, _ = policy_loss(batch, pol, 0.8, adv)
+        optim.apply(pol.net, d_params, 1e-3)
     batch = sample_batch(data, None, cfg, 512, np.random.default_rng(0))
     *_, adv = goal_loss(batch, nets, 0.8)
     actions = pol.forward(batch.states, batch.r_hat, batch.c_hat, adv.v_r,
@@ -249,4 +249,4 @@ def test_policy_bundle_round_trip(tmp_path, stitch_dataset):
     loaded, meta = load_policy(path)
     assert meta["alpha"] == 0.9
     assert loaded.action_dim == pol.action_dim
-    assert np.array_equal(loaded.net.get_flat(), pol.net.get_flat())
+    assert np.array_equal(loaded.net.params, pol.net.params)

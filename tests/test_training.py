@@ -63,8 +63,8 @@ def test_train_gas_deterministic(stitch_dataset):
     def run():
         res = train_gas(stitch_dataset, AugmentConfig(), SMALL, 0.8, 60,
                         seed_streams(2))
-        return (res.nets.reward_net.get_flat(), res.nets.cost_net.get_flat(),
-                res.pol.net.get_flat(), tuple(res.history))
+        return (res.nets.reward_net.params, res.nets.cost_net.params,
+                res.pol.net.params, tuple(res.history))
 
     a, b = run(), run()
     for x, y in zip(a[:3], b[:3]):
@@ -80,7 +80,7 @@ def test_train_gas_zero_iterations_is_initialization(stitch_dataset, schedule):
     assert res.history == []
     for trained, fresh in ((res.nets.reward_net, nets.reward_net),
                            (res.nets.cost_net, nets.cost_net), (res.pol.net, pol.net)):
-        assert np.array_equal(trained.get_flat(), fresh.get_flat())
+        assert np.array_equal(trained.params, fresh.params)
 
 
 def test_train_gas_history_rows(stitch_dataset):
